@@ -150,13 +150,15 @@ class Processor:
     def handler_active(self) -> bool:
         return self._active_start is not None
 
-    def run_handler(self, body: Iterator) -> Generator:
+    def run_handler(self, body: Iterator, delivery: int = 0) -> Generator:
         """Run ``body`` as an interrupt handler on this CPU.
 
         Yieldable generator: handlers on the same CPU serialize; the
         handler's full duration (including any bus waits inside the body)
         is charged to this CPU's ``handler`` time and steals cycles from
-        the application thread.  Returns the body's return value.
+        the application thread.  ``delivery`` cycles (kernel entry and
+        context switch of an interrupt) run on the CPU ahead of the body.
+        Returns the body's return value.
         """
         yield self._handler_lock.acquire()
         self._active_start = self.sim.now
@@ -170,6 +172,8 @@ class Processor:
             metrics.begin_busy(key, self.sim.now)
             metrics.bump(f"{self.name}.handlers")
         try:
+            if delivery:
+                yield delivery
             result = yield from body
         finally:
             duration = self.sim.now - self._active_start
@@ -203,9 +207,16 @@ class Processor:
             remaining = self.handler_busy_now() - busy_before
 
     def busy(self, cycles: int, category: str) -> Generator:
-        """Occupy the CPU and charge the time to ``category``."""
-        self.stats.add(category, int(cycles))
-        yield from self._occupied(int(cycles))
+        """Occupy the CPU and charge the time to ``category``.
+
+        Returns the :meth:`_occupied` generator itself rather than
+        wrapping it: this is the hottest occupancy site (host overhead,
+        protocol work), and a wrapper frame would cost every resumption
+        a hop.
+        """
+        cycles = int(cycles)
+        self.stats.add(category, cycles)
+        return self._occupied(cycles)
 
     def run_block(
         self,

@@ -18,9 +18,10 @@ Worker count resolution (first match wins):
 
 ``jobs=1`` never touches ``multiprocessing`` — debugging, profiling and
 coverage see a plain in-process loop.  ``jobs=0`` means "all cores"
-(``os.cpu_count() or 1``), and the pool is always clamped to the number
-of points actually missing from the caches — a deduplicated single-point
-grid runs in-process, never in an oversized pool.
+(``os.cpu_count() or 1``), a negative count clamps to 1, and the pool is
+always clamped to the number of points actually missing from the caches
+— a deduplicated single-point grid runs in-process, never in an
+oversized pool.
 
 Failure handling
 ----------------
@@ -263,9 +264,9 @@ def _resolve_checkpoint(
 
 def _normalize(jobs: int) -> int:
     jobs = int(jobs)
-    if jobs <= 0:  # 0 (or negative) = one worker per core
+    if jobs == 0:  # one worker per core
         return os.cpu_count() or 1
-    return jobs
+    return max(1, jobs)  # negatives clamp to serial
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:

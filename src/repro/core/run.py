@@ -35,6 +35,7 @@ def _worker(cluster: Cluster, cpu: "Processor", events: List) -> object:
     """The application thread of one processor."""
     proto = cluster.protocol
     read_immediate = proto.read_immediate
+    read_fault = proto.read_fault
     write_immediate = proto.write_immediate
     for ev in events:
         kind = ev[0]
@@ -44,7 +45,7 @@ def _worker(cluster: Cluster, cpu: "Processor", events: List) -> object:
             # Most accesses hit a valid copy and cost no simulated time;
             # the immediate forms skip the generator trampoline for them.
             if not read_immediate(cpu, ev[1]):
-                yield from proto.read(cpu, ev[1])
+                yield from read_fault(cpu, ev[1])
         elif kind == WRITE:
             runs = ev[3] if len(ev) > 3 else 1
             if not write_immediate(cpu, ev[1], ev[2], runs):

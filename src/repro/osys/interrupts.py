@@ -19,7 +19,7 @@ matches Section 3:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List
 
 from repro.sim.primitives import Event
 
@@ -82,15 +82,9 @@ class InterruptController:
         if cost:
             # Issue side: latency only (NI/IPI traversal), no CPU stolen.
             yield cost
-        result = yield from cpu.run_handler(self._with_delivery(body, cost))
+        # Delivery side: kernel entry/context switch on the victim CPU.
+        result = yield from cpu.run_handler(body, cost)
         done.succeed(result)
-
-    def _with_delivery(self, body: Iterator, cost: int):
-        if cost:
-            # Delivery side: kernel entry/context switch on the victim CPU.
-            yield cost
-        result = yield from body
-        return result
 
     def null_interrupt(self, name: str = "null_irq") -> Event:
         """An interrupt with an empty handler (queue-overflow signal,

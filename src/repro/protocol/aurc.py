@@ -65,7 +65,8 @@ class AURCProtocol(HLRCProtocol):
 
     def write(self, cpu: "Processor", page: int, words: int = 1, runs: int = 1):
         ctx = self.ctx
-        yield from self.read(cpu, page)  # write fault still fetches
+        if not self.read_immediate(cpu, page):
+            yield from self.read_fault(cpu, page)  # write fault still fetches
         node_id = ctx.node_id_of_cpu(cpu)
         home = ctx.directory.home(page, node_id)
         words = min(words, page_words(ctx.arch, ctx.comm.page_size))

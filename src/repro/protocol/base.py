@@ -17,7 +17,7 @@ Every remote request arrives as an interrupt whose handler is found by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from repro.sim.primitives import Event
@@ -150,7 +150,13 @@ class ProtocolCounters:
     extra: Dict[str, int] = field(default_factory=dict)
 
     def bump(self, name: str, n: int = 1) -> None:
-        if hasattr(self, name) and name != "extra":
+        """Add ``n`` to counter ``name``; names that are not a counter
+        field (including method names) accumulate in :attr:`extra`."""
+        if name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + n)
         else:
             self.extra[name] = self.extra.get(name, 0) + n
+
+
+#: the integer counter fields of :class:`ProtocolCounters`
+_COUNTER_FIELDS = frozenset(f.name for f in fields(ProtocolCounters)) - {"extra"}

@@ -97,6 +97,14 @@ class HLRCProtocol:
             merge_fn=self._merged_snapshot,
             notice_bytes_fn=self._barrier_notice_bytes,
         )
+        #: request tag -> handler generator function
+        self._handlers = {
+            TAG_PAGE_FETCH: self._h_page_fetch,
+            TAG_DIFF_APPLY: self._h_diff_apply,
+            TAG_LOCK_ACQUIRE: self.locks.handle_acquire,
+            TAG_LOCK_RECALL: self.locks.handle_recall,
+            TAG_TOKEN_RETURN: self.locks.handle_token_return,
+        }
         self.install()
 
     # ------------------------------------------------------------------ #
@@ -125,31 +133,26 @@ class HLRCProtocol:
         return on_request
 
     def _dispatch(self, cpu: "Processor", msg: "Message"):
-        metrics = self.ctx.metrics
-        if metrics is None:
-            yield from self._dispatch_body(cpu, msg)
-            return
+        """The handler generator for ``msg``'s tag.
+
+        Returns the handler itself, not a wrapper around it, so an
+        interrupt handler runs one generator frame shallower.
+        """
+        handler = self._handlers.get(msg.tag)
+        if handler is None:
+            raise RuntimeError(f"unknown request tag {msg.tag!r}")
+        if self.ctx.metrics is None:
+            return handler(cpu, msg)
+        return self._dispatch_metered(handler, cpu, msg)
+
+    def _dispatch_metered(self, handler, cpu: "Processor", msg: "Message"):
         # Hotspot accounting: cycles and invocations per handler tag
         # (the profile CLI's "top-N protocol hotspots" table).
+        metrics = self.ctx.metrics
         t0 = self.ctx.sim.now
-        yield from self._dispatch_body(cpu, msg)
+        yield from handler(cpu, msg)
         metrics.bump(f"handler.{msg.tag}.count")
         metrics.add_cycles(f"handler.{msg.tag}", self.ctx.sim.now - t0)
-
-    def _dispatch_body(self, cpu: "Processor", msg: "Message"):
-        tag = msg.tag
-        if tag == TAG_PAGE_FETCH:
-            yield from self._h_page_fetch(cpu, msg)
-        elif tag == TAG_DIFF_APPLY:
-            yield from self._h_diff_apply(cpu, msg)
-        elif tag == TAG_LOCK_ACQUIRE:
-            yield from self.locks.handle_acquire(cpu, msg)
-        elif tag == TAG_LOCK_RECALL:
-            yield from self.locks.handle_recall(cpu, msg)
-        elif tag == TAG_TOKEN_RETURN:
-            yield from self.locks.handle_token_return(cpu, msg)
-        else:
-            raise RuntimeError(f"unknown request tag {tag!r}")
 
     # ------------------------------------------------------------------ #
     # trace operations (run in the application process)
@@ -174,7 +177,8 @@ class HLRCProtocol:
         Home copies, already-valid copies, and attribution-mode free
         fetches involve no events, so the executor can skip the
         generator machinery entirely.  A ``False`` return leaves all
-        protocol state untouched — the caller falls back to :meth:`read`.
+        protocol state untouched — the caller falls back to
+        :meth:`read_fault`.
         """
         ctx = self.ctx
         node_id = ctx.node_id_of_cpu(cpu)
@@ -198,8 +202,13 @@ class HLRCProtocol:
 
     def read(self, cpu: "Processor", page: int):
         """Shared read at page granularity; faults and fetches as needed."""
-        if self.read_immediate(cpu, page):
-            return
+        if not self.read_immediate(cpu, page):
+            yield from self.read_fault(cpu, page)
+
+    def read_fault(self, cpu: "Processor", page: int):
+        """The slow half of :meth:`read`, for a read :meth:`read_immediate`
+        could not complete: page fault, then a fetch (or a wait on a
+        node-mate's fetch in flight)."""
         ctx = self.ctx
         node_id = ctx.node_id_of_cpu(cpu)
         home = ctx.directory.home(page, node_id)
@@ -285,7 +294,8 @@ class HLRCProtocol:
     def write(self, cpu: "Processor", page: int, words: int = 1, runs: int = 1):
         """Shared write: fetch if needed, twin on first write, track dirt."""
         ctx = self.ctx
-        yield from self.read(cpu, page)  # write faults fetch too
+        if not self.read_immediate(cpu, page):
+            yield from self.read_fault(cpu, page)  # write faults fetch too
         node_id = ctx.node_id_of_cpu(cpu)
         home = ctx.directory.home(page, node_id)
         words = min(words, page_words(ctx.arch, ctx.comm.page_size))
@@ -424,9 +434,8 @@ class HLRCProtocol:
         pages = self.log.notices_between(mine, incoming)
         mine.merge(incoming)
         node_id = ctx.node_id_of(proc)
-        to_invalidate = [
-            p for p in pages if ctx.directory.peek_home(p) != node_id
-        ]
+        homes = ctx.directory._homes
+        to_invalidate = [p for p in pages if homes.get(p) != node_id]
         if to_invalidate:
             self.mem[node_id].invalidate(to_invalidate)
         # Record at the instant invalidations take effect (before the busy

@@ -15,7 +15,8 @@ semilattice under :meth:`VectorClock.merge`, and
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from operator import ge
+from typing import Iterable, List, Sequence, Set, Tuple
 
 
 class VectorClock:
@@ -27,7 +28,7 @@ class VectorClock:
         if values is not None:
             if len(values) != n_procs:
                 raise ValueError("values length mismatch")
-            if any(x < 0 for x in values):
+            if min(values, default=0) < 0:
                 raise ValueError("negative clock component")
             self.v = list(values)
         else:
@@ -43,7 +44,7 @@ class VectorClock:
         """In-place join (component-wise max)."""
         if len(other.v) != len(self.v):
             raise ValueError("clock width mismatch")
-        self.v = [a if a >= b else b for a, b in zip(self.v, other.v)]
+        self.v = list(map(max, self.v, other.v))
 
     def copy(self) -> "VectorClock":
         return VectorClock(len(self.v), self.v)
@@ -54,12 +55,16 @@ class VectorClock:
 
     @classmethod
     def from_snapshot(cls, snap: Sequence[int]) -> "VectorClock":
-        return cls(len(snap), snap)
+        if min(snap, default=0) < 0:
+            raise ValueError("negative clock component")
+        clock = cls.__new__(cls)
+        clock.v = list(snap)
+        return clock
 
     # -- ordering ---------------------------------------------------------
     def dominates(self, other: "VectorClock") -> bool:
         """True if self >= other component-wise (self has seen other)."""
-        return all(a >= b for a, b in zip(self.v, other.v))
+        return all(map(ge, self.v, other.v))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VectorClock) and self.v == other.v
@@ -120,10 +125,8 @@ class IntervalLog:
         by ``old`` — exactly what an acquirer must invalidate."""
         pages: Set[int] = set()
         update = pages.update
-        for proc in range(self.n_procs):
-            lo, hi = old[proc], new[proc]
+        for lo, hi, log in zip(old.v, new.v, self.intervals):
             if hi > lo:
-                log = self.intervals[proc]
                 if hi > len(log):
                     hi = len(log)
                 update(*log[lo:hi])
@@ -132,9 +135,7 @@ class IntervalLog:
     def notice_count_between(self, old: VectorClock, new: VectorClock) -> int:
         """Number of write notices in the delta (sizes the grant message)."""
         count = 0
-        for proc in range(self.n_procs):
-            prefix = self._count_prefix[proc]
-            lo, hi = old[proc], new[proc]
+        for lo, hi, prefix in zip(old.v, new.v, self._count_prefix):
             last = len(prefix) - 1
             if hi > last:
                 hi = last

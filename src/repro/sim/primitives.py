@@ -39,7 +39,7 @@ class Timeout(Waitable):
         self.delay = delay
 
     def _wait(self, process: "Process") -> None:
-        self.sim.schedule(self.delay, process._step, None)
+        self.sim.schedule(self.delay, process._wake, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Timeout({self.delay})"
@@ -91,8 +91,8 @@ class Event(Waitable):
         self._value = value
         waiters, self._waiters = self._waiters, []
         if waiters:
-            # _step directly (not the _resume wrapper), with the calendar
-            # insert inlined (same bucket-append semantics as
+            # the pre-bound _step (not the _resume wrapper), with the
+            # calendar insert inlined (same bucket-append semantics as
             # Simulator.schedule_now): saves a call frame and an *args
             # pack per wakeup on the hottest resume path.
             sim = self.sim
@@ -103,7 +103,7 @@ class Event(Waitable):
                 bucket = sim._buckets[when] = []
                 heappush(sim._times, when)
             for proc in waiters:
-                bucket.append(proc._step)
+                bucket.append(proc._wake)
                 bucket.append(args)
             sim._pending += len(waiters)
         return self
@@ -125,7 +125,7 @@ class Event(Waitable):
             if self._exc is not None:
                 self.sim.schedule_now(process._resume_exc, self._exc)
             else:
-                self.sim.schedule_now(process._step, self._value)
+                self.sim.schedule_now(process._wake, self._value)
         else:
             self._waiters.append(process)
 
@@ -227,21 +227,13 @@ class AnyOf(Waitable):
 class _CallbackWaiter:
     """Adapter making a pair of callbacks look like a Process to Event."""
 
-    __slots__ = ("_on_value", "_on_exc")
+    __slots__ = ("_wake", "_resume_exc")
 
     def __init__(self, on_value, on_exc) -> None:
-        self._on_value = on_value
-        self._on_exc = on_exc
-
-    def _resume(self, value: Any) -> None:
-        self._on_value(value)
-
-    # Event wakeups schedule ``_step`` (the Process fast path); mirror it.
-    def _step(self, value: Any = None) -> None:
-        self._on_value(value)
-
-    def _resume_exc(self, exc: BaseException) -> None:
-        self._on_exc(exc)
+        # Event wakeups call ``_wake(value)`` (the Process fast path) and
+        # failures ``_resume_exc(exc)``; the callbacks stand in for both.
+        self._wake = on_value
+        self._resume_exc = on_exc
 
 
 def _subscribe(event: Event, on_value, on_exc) -> None:

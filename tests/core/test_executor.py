@@ -130,11 +130,15 @@ def test_resolve_jobs_ignores_garbage_env(monkeypatch):
 def test_jobs_zero_means_all_cores(monkeypatch):
     import os
 
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs(0) == (os.cpu_count() or 1)
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    assert resolve_jobs() == (os.cpu_count() or 1)
-    assert resolve_jobs(-3) == 1  # negatives clamp to serial, not crash
+    for cores in (1, 8):  # host-independent: the core count is faked
+        monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_jobs(0) == cores
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert resolve_jobs() == cores
+        assert resolve_jobs(-3) == 1  # negatives clamp to serial, not crash
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        assert resolve_jobs() == 1
 
 
 def test_single_point_grid_runs_serial_even_with_jobs(fresh):

@@ -109,3 +109,28 @@ def test_best_config_beats_achievable():
     achievable = run_simulation(app, ClusterConfig())
     best = run_simulation(app, ClusterConfig(comm=BEST))
     assert best.speedup > achievable.speedup
+
+
+def test_ni_sends_spawn_no_process(monkeypatch):
+    """The only processes are the application threads and one per
+    interrupt: NI sends run as scheduled callbacks, and that changes
+    neither the event count nor the traffic."""
+    from repro.sim.process import Process
+
+    spawned = []
+    original = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spawned.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    config = ClusterConfig()
+    result = run_simulation(
+        get_app("lu", page_size=config.comm.page_size, scale=0.05, seed=config.seed),
+        config,
+    )
+    assert result.meta["network_messages"] == 1670  # every one was an NI send
+    assert len(spawned) == config.total_procs + result.meta["interrupts"]
+    # pinned: how NI sends are dispatched must not change the event count
+    assert result.meta["sim_events"] == 13713

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.arch import ArchParams, CommParams
-from repro.net import MessageKind
+from repro.net import MessageKind, MessagingLayer
+from repro.net.faults import FaultParams
 from repro.net.message import Message
 from repro.sim import Simulator
 
@@ -172,3 +173,123 @@ def test_send_from_wrong_nic_rejected():
     msg = Message(src_node=1, dst_node=0, kind=MessageKind.SYNC, size_bytes=8)
     with pytest.raises(ValueError, match="source"):
         cluster.nodes[0].nic.send(msg)
+    with pytest.raises(ValueError, match="source"):
+        cluster.nodes[0].nic.post(msg)
+    assert msg.on_deposit is None
+
+
+# --------------------------------------------------------------------- #
+# fault branches of the send chain, with scripted (not sampled) faults
+# --------------------------------------------------------------------- #
+#: NI occupancy per packet: large enough that the NI core is the
+#: bottleneck stage of every send below (the I/O bus stage stays under
+#: ni_queue_bytes / io_bytes_per_cycle + 256 = 8448 cycles), so an idle
+#: one-packet send takes exactly OCC cycles plus the link latency
+OCC = 20_000
+LINK_LATENCY = ArchParams().link_latency_cycles  # 200
+
+
+class ScriptedFaults:
+    """Stand-in for FaultInjector: each draw pops its next scripted value."""
+
+    def __init__(self, stalls=(), spikes=(), drops=(), dups=()):
+        self.stalls, self.spikes = list(stalls), list(spikes)
+        self.drops, self.dups = list(drops), list(dups)
+
+    def draw_stall(self):
+        return self.stalls.pop(0) if self.stalls else 0
+
+    def link_factor(self, src_node, dst_node):
+        return 1.0
+
+    def draw_spike(self):
+        return self.spikes.pop(0) if self.spikes else 0
+
+    def draw_drop(self):
+        return self.drops.pop(0) if self.drops else False
+
+    def draw_duplicate(self):
+        return self.dups.pop(0) if self.dups else False
+
+
+def _faulty_cluster(sim, faults, **arch_kw):
+    cluster = make_cluster(
+        sim, arch=ArchParams(**arch_kw), comm=CommParams(ni_occupancy=OCC)
+    )
+    for node in cluster.nodes:
+        node.nic.faults = faults
+    return cluster
+
+
+def _deposit_times(sim, event):
+    times = []
+
+    def waiter():
+        yield event
+        times.append(sim.now)
+
+    sim.spawn(waiter())
+    return times
+
+
+def test_forced_stall_then_backpressure_exact_times():
+    sim = Simulator()
+    cluster = _faulty_cluster(sim, ScriptedFaults(stalls=[1000]), ni_queue_bytes=4096)
+    nic = cluster.nodes[0].nic
+    overflowed = []
+    nic.on_queue_overflow = lambda: overflowed.append(sim.now)
+    # a 40960-byte DMA already holds the source I/O bus (0.5 B/cycle)
+    # until cycle 81920
+    assert nic.iobus.dma_latency(40960) == 81920
+    msg = Message(src_node=0, dst_node=1, kind=MessageKind.DATA, size_bytes=64)
+    times = _deposit_times(sim, nic.send(msg))
+    sim.run()
+    # The stall ends at 1000.  Each look at the queue that finds more
+    # than 4096 bytes backlogged interrupts once and waits half the
+    # backlog: 80920 cycles left -> +40460, -> +20230, -> +10115, -> +5057.
+    assert overflowed == [1000, 41460, 61690, 71805]
+    assert nic.overflow_interrupts == 4
+    # 5058 backlog cycles (2529 B) fit: reserve at 76862, the NI core
+    # stage takes OCC, then the link latency
+    assert times == [76862 + OCC + LINK_LATENCY]
+    assert cluster.nodes[1].nic.messages_received == 1
+
+
+def test_forced_delay_spike_exact_time():
+    sim = Simulator()
+    cluster = _faulty_cluster(sim, ScriptedFaults(spikes=[3000]))
+    nic = cluster.nodes[0].nic
+    msg = Message(src_node=0, dst_node=1, kind=MessageKind.DATA, size_bytes=64)
+    times = _deposit_times(sim, nic.send(msg))
+    sim.run()
+    assert times == [OCC + 3000 + LINK_LATENCY]
+    assert nic.overflow_interrupts == 0
+    assert cluster.nodes[1].nic.messages_received == 1
+
+
+def test_forced_drop_then_duplicate_delivers_once():
+    sim = Simulator()
+    faults = ScriptedFaults(drops=[True, False], dups=[True])  # no dup draw on a drop
+    cluster = _faulty_cluster(sim, faults)
+    nics = {n.node_id: n.nic for n in cluster.nodes}
+    reliable = FaultParams(drop_prob=0.5, retry_timeout=50_000, max_retries=3)
+    msg_layer = MessagingLayer(sim, ArchParams(), CommParams(ni_occupancy=OCC), nics, reliable)
+    cpu = cluster.nodes[0].cpus[0]
+    times = []
+
+    def sender():
+        deposit = yield from msg_layer.send_data(cpu, 0, 1, size_bytes=64)
+        yield deposit
+        times.append(sim.now)
+
+    sim.spawn(sender())
+    sim.run()
+    # the first copy is dropped at OCC; the retransmission leaves at the
+    # retry timeout, is duplicated in the fabric, and deposits once
+    assert times == [50_000 + OCC + LINK_LATENCY]
+    assert msg_layer.retransmits == 1
+    assert nics[0].messages_dropped == 1
+    assert nics[0].messages_sent == 2
+    assert nics[1].messages_received == 1
+    assert nics[1].duplicates_suppressed == 1
+    assert nics[0].overflow_interrupts == 0

@@ -226,3 +226,15 @@ def test_interrupt_cost_dominates_fetch_latency():
 
     t0, t1 = fetch_time(0), fetch_time(5000)
     assert t1 - t0 == pytest.approx(2 * 5000, rel=0.05)
+
+
+def test_counter_bump_unknown_names_land_in_extra():
+    from repro.protocol import ProtocolCounters
+
+    c = ProtocolCounters()
+    c.bump("page_fetches", 2)
+    c.bump("bump")  # a method name, not a counter field
+    c.bump("extra")  # the overflow dict itself is not a counter
+    c.bump("custom", 3)
+    assert c.page_fetches == 2
+    assert c.extra == {"bump": 1, "extra": 1, "custom": 3}

@@ -49,6 +49,8 @@ def test_clock_validation():
         VectorClock(2, [1, -1])
     with pytest.raises(ValueError):
         VectorClock(2).merge(VectorClock(3))
+    with pytest.raises(ValueError, match="negative"):
+        VectorClock.from_snapshot((0, -1))
 
 
 vc_lists = st.lists(st.integers(0, 20), min_size=3, max_size=3)
