@@ -146,6 +146,11 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
+    @property
+    def idle(self) -> bool:
+        """No queued items and no waiting getters: the store holds no state."""
+        return not self._items and not self._getters
+
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().succeed(item)

@@ -224,6 +224,37 @@ def test_messages_counted_per_sender():
     assert cluster.nodes[1].nic.messages_received == 3
 
 
+def test_sync_rendezvous_table_keeps_only_pending_tags():
+    """Drained rendezvous are forgotten, in either arrival order, and a
+    reused tag still delivers in FIFO order."""
+    sim = Simulator()
+    cluster = make_cluster(sim)
+    cpu = cluster.nodes[0].cpus[0]
+    nic = cluster.nodes[1].nic
+    got = []
+
+    def early_receiver():  # waits before its message arrives
+        got.append((yield cluster.msg.receive_sync(1, "early")))
+
+    def sender():
+        yield from cluster.msg.send_sync(cpu, 0, 1, "early", 64, payload="e")
+        for k in range(3):
+            yield from cluster.msg.send_sync(cpu, 0, 1, "late", 64, payload=k)
+
+    def late_receiver():  # arrives after all three messages
+        yield 1_000_000
+        assert len(nic._sync_stores) == 1  # "late" holds three payloads
+        for _ in range(3):
+            got.append((yield cluster.msg.receive_sync(1, "late")))
+
+    sim.spawn(early_receiver())
+    sim.spawn(sender())
+    sim.spawn(late_receiver())
+    sim.run()
+    assert got == ["e", 0, 1, 2]
+    assert nic._sync_stores == {}
+
+
 def test_multi_packet_message_counts_packets():
     sim = Simulator()
     arch = ArchParams()
