@@ -21,29 +21,15 @@ print the one-line resume command; a SIGKILL costs at most the points in
 flight.  ``--resume`` skips drivers that already completed and replays
 the interrupted driver's finished points from the run cache, producing
 output bit-identical to an uninterrupted run.
-
-``--fabric`` turns one regeneration into a *cooperative* one: each
-driver is claimed through a lease in the distributed sweep fabric
-(``results/.fabric/run-all-s<scale>/``; see :mod:`repro.core.fabric`),
-so several copies of this script launched against the same ``--out``
-directory split the driver list between them instead of duplicating
-work.  A copy that crashes loses its leases (holder-liveness check) and
-one that stalls loses them after ``--fabric-ttl`` seconds; survivors
-steal the abandoned drivers and the regeneration still completes.
-With ``--fabric-addr`` (or ``REPRO_FABRIC_ADDR``) the leases come from
-a TCP broker (``repro fabric broker``; :mod:`repro.core.fabric_net`)
-instead of the local filesystem, so the cooperating copies can live on
-*different machines*; if the broker vanishes the script degrades to the
-filesystem store and still finishes.
 """
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
 
+from repro.cli import _jobs_type
 from repro.core.checkpoint import SweepCheckpoint, SweepInterrupted
 from repro.core.executor import (
     resolve_jobs,
@@ -126,9 +112,6 @@ def run_all(
     jobs=None,
     quiet: bool = False,
     resume: bool = False,
-    fabric: bool = False,
-    fabric_ttl=None,
-    fabric_addr=None,
 ):
     """Run every driver; returns ``{driver_name: seconds}`` wall-clock timings.
 
@@ -136,9 +119,7 @@ def run_all(
     so every driver's grid fans out without per-driver plumbing.  Each
     driver runs under a sweep checkpoint (see the module docstring);
     ``resume=True`` skips drivers whose completion is journaled and whose
-    output files are still present.  ``fabric=True`` claims each driver
-    through a fabric lease first, letting concurrent copies of this
-    script shard the driver list (see the module docstring).
+    output files are still present.
     """
     if jobs is not None:
         set_default_jobs(jobs)
@@ -146,31 +127,29 @@ def run_all(
     hint = resume_hint(scale, out_dir, jobs)
     parent_name = f"run-all-s{scale:g}"
     parent = SweepCheckpoint(parent_name).open(meta={"resume_cmd": hint})
-    store = worker_id = None
-    if fabric:
-        from repro.core.fabric import FabricTransportError, resolve_ttl
-        from repro.core.fabric_net import make_lease_store
-
-        if fabric_ttl is None and "REPRO_FABRIC_TTL_S" not in os.environ:
-            fabric_ttl = 900.0  # drivers run for minutes, not seconds
-        fabric_ttl = resolve_ttl(fabric_ttl)
-        # --fabric-addr / REPRO_FABRIC_ADDR selects the TCP broker
-        # transport so copies of this script on *other machines* share
-        # the driver list; otherwise the filesystem store as before.
-        store = make_lease_store(parent_name, addr=fabric_addr)
-        worker_id = f"runall-{os.getpid()}"
+    done_before = parent.completed_keys() if resume else set()
     combined = {}
     timings = {}
     t_start = time.time()
 
-    def _already_done(name, txt_path, json_path):
-        return (
-            f"driver:{name}" in parent.completed_keys()
+    for name, driver in DRIVERS:
+        txt_path = out_dir / f"{name}.txt"
+        json_path = out_dir / f"{name}.json"
+        if (
+            f"driver:{name}" in done_before
             and txt_path.is_file()
             and json_path.is_file()
-        )
-
-    def _run_one(name, driver, txt_path, json_path):
+        ):
+            # Finished by a previous run: fold its output in unchanged.
+            timings[name] = 0.0
+            combined[name] = txt_path.read_text().rstrip("\n")
+            if not quiet:
+                print(
+                    f"[{time.time() - t_start:7.1f}s] {name:<22} "
+                    "already complete (resumed)",
+                    flush=True,
+                )
+            continue
         t0 = time.time()
         # Point-level journal for this driver: a kill mid-driver resumes
         # from the last completed simulation point, not the last driver.
@@ -199,78 +178,6 @@ def run_all(
                 f"[{time.time() - t_start:7.1f}s] {name:<22} done in {dt:6.1f}s",
                 flush=True,
             )
-
-    pending = dict(DRIVERS)
-    while pending:
-        progressed = False
-        parent.refresh()
-        for name, driver in list(pending.items()):
-            txt_path = out_dir / f"{name}.txt"
-            json_path = out_dir / f"{name}.json"
-            if (resume or fabric) and _already_done(name, txt_path, json_path):
-                # Finished by a previous run (--resume) or by a peer
-                # fabric process; fold its output in without recomputing.
-                del pending[name]
-                timings.setdefault(name, 0.0)
-                combined[name] = txt_path.read_text().rstrip("\n")
-                if not quiet:
-                    print(
-                        f"[{time.time() - t_start:7.1f}s] {name:<22} "
-                        "already complete (resumed)",
-                        flush=True,
-                    )
-                continue
-            if store is not None:
-                try:
-                    lease = store.claim(
-                        f"driver-{name}", worker_id, ttl_s=fabric_ttl
-                    )
-                except FabricTransportError as exc:
-                    # Broker gone: degrade once to the filesystem store
-                    # and keep going — peers on this machine still
-                    # coordinate, remote ones re-join when it returns.
-                    from repro.core.fabric import LeaseStore
-
-                    store = LeaseStore(parent_name)
-                    print(
-                        f"fabric: broker unreachable ({exc}); continuing "
-                        f"with the filesystem lease store at {store.dir}",
-                        flush=True,
-                    )
-                    lease = store.claim(
-                        f"driver-{name}", worker_id, ttl_s=fabric_ttl
-                    )
-                if lease is None:
-                    current = store.read_lease(f"driver-{name}")
-                    if current is None or current.status == "held":
-                        continue  # a live peer holds it; revisit next pass
-                    # Terminal lease but this --out lacks the exports (a
-                    # previous run wrote to a different directory): the
-                    # points replay from the run cache, so re-render
-                    # without a lease instead of waiting forever on a
-                    # driver nobody will release again.
-                    _run_one(name, driver, txt_path, json_path)
-                else:
-                    try:
-                        _run_one(name, driver, txt_path, json_path)
-                    finally:
-                        status = "done" if name in combined else "failed"
-                        try:
-                            store.release(lease, status)
-                        except FabricTransportError:
-                            pass  # lease expires; the journal stands
-            else:
-                _run_one(name, driver, txt_path, json_path)
-            del pending[name]
-            progressed = True
-        if pending and not progressed:
-            if store is None:
-                raise RuntimeError(
-                    f"drivers did not converge: {sorted(pending)}"
-                )  # pragma: no cover - defensive; serial mode never loops
-            # Every remaining driver is leased by a live peer: wait for
-            # them to finish (journal) or die/stall (lease reclaimable).
-            time.sleep(2.0)
     (out_dir / "ALL.txt").write_text(
         "\n\n\n".join(combined[name] for name, _ in DRIVERS) + "\n"
     )
@@ -291,7 +198,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--out", type=pathlib.Path, default=None, help="output directory")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_type,
         default=None,
         help="worker processes per simulation grid (default: REPRO_JOBS or 1; "
         "0 = all cores)",
@@ -301,29 +208,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         action="store_true",
         help="skip drivers journaled complete by a previous (interrupted) "
         "regeneration at this scale; finished points replay from the run cache",
-    )
-    parser.add_argument(
-        "--fabric",
-        action="store_true",
-        help="claim each driver through a fabric lease "
-        "(results/.fabric/run-all-s<scale>/) so concurrent copies of this "
-        "script pointed at the same --out split the driver list; crashed or "
-        "stalled copies lose their leases and survivors steal the work",
-    )
-    parser.add_argument(
-        "--fabric-ttl",
-        type=float,
-        default=None,
-        help="driver lease TTL in seconds for --fabric "
-        "(default: $REPRO_FABRIC_TTL_S, else 900; validated to sane bounds)",
-    )
-    parser.add_argument(
-        "--fabric-addr",
-        default=os.environ.get("REPRO_FABRIC_ADDR"),
-        metavar="HOST:PORT",
-        help="lease broker address for --fabric so copies of this script on "
-        "other machines share the driver list (default: $REPRO_FABRIC_ADDR, "
-        "else the local filesystem store; see `repro fabric broker`)",
     )
     parser.add_argument(
         "--fidelity",
@@ -358,15 +242,7 @@ def main(argv=None) -> None:
             args.out,
             jobs=jobs,
             resume=args.resume,
-            fabric=args.fabric,
-            fabric_ttl=args.fabric_ttl,
-            fabric_addr=args.fabric_addr,
         )
-    except ValueError as exc:
-        # e.g. a misconfigured --fabric-ttl / REPRO_FABRIC_TTL_S: one
-        # friendly line instead of a silently broken sweep (or traceback).
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
     except SweepInterrupted as exc:
         print(
             f"\ninterrupted — completed points are journaled; "

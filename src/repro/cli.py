@@ -28,18 +28,6 @@ Commands
     cache records in (``report ingest``), compare model versions from
     history rows (``report diff --model-version 3 4``), show bench
     trends (``report trend``), or export tables (``report export``).
-``fabric {start,worker,status,broker}``
-    Distributed sweeps (:mod:`repro.core.fabric`): ``start`` shards a
-    grid into leases under ``results/.fabric/<sweep>/`` and spawns
-    workers, ``worker`` joins an existing sweep's claim loop, and
-    ``status`` reports transport/broker/lease/worker progress.  Workers
-    are crash-safe: fencing tokens keep a killed-or-paused worker from
-    ever clobbering a successor's results.  ``broker`` serves the lease
-    store over TCP (:mod:`repro.core.fabric_net`) so workers on *other
-    machines* can join the same sweep (``--broker`` /
-    ``REPRO_FABRIC_ADDR``); liveness for those workers is a
-    broker-minted session id, and a vanished broker degrades the sweep
-    to the local filesystem store instead of hanging it.
 
 ``sweep`` and ``experiment`` accept ``--jobs N`` to fan independent
 simulation points across a process pool (0 = all cores) and
@@ -536,8 +524,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     from repro.core.executor import set_resume_annotation
 
     if not args.sweep:
-        from repro.core.fabric import LeaseStore, sweep_status
-
         sweeps = list_checkpoints()
         if not sweeps:
             print("no checkpointed sweeps found")
@@ -545,31 +531,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
         rows = []
         for cp in sweeps:
             prog = cp.progress()
-            # Fabric-managed sweeps get lease/owner columns; points whose
-            # lease expired without an outcome are *orphaned* (reclaimable
-            # work), not failed (work that ran and broke).
-            leased = orphaned = "-"
-            owners = "-"
-            try:
-                store = LeaseStore(cp.name)
-            except ValueError:
-                store = None
-            if store is not None and store.exists:
-                st = sweep_status(store)
-                leased = st["leased"]
-                # Broker-granted orphans (a remote worker's session went
-                # quiet) are labeled apart: no local PID can explain them.
-                orphaned = str(st["orphaned"])
-                if st.get("broker_orphaned"):
-                    orphaned += f" ({st['broker_orphaned']} broker)"
-                owners = ",".join(st["owners"]) or "-"
-            rows.append(
-                [cp.name, prog["done"], prog["failed"], leased, orphaned,
-                 owners, prog["status"]]
-            )
-        print(format_table(
-            ["sweep", "done", "failed", "leased", "orphaned", "owners", "status"],
-            rows, title="Checkpointed sweeps"))
+            rows.append([cp.name, prog["done"], prog["failed"], prog["status"]])
+        print(format_table(["sweep", "done", "failed", "status"], rows,
+                           title="Checkpointed sweeps"))
         print("\nresume one with: python -m repro resume <sweep>")
         return 0
 
@@ -897,238 +861,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 2
 
 
-def _fabric_addr(args: argparse.Namespace) -> Optional[str]:
-    """Broker address from ``--broker`` > ``REPRO_FABRIC_ADDR`` > none."""
-    import os
-
-    return getattr(args, "broker", None) or os.environ.get("REPRO_FABRIC_ADDR")
-
-
-def cmd_fabric(args: argparse.Namespace) -> int:
-    """Distributed sweeps: lease store + fenced workers (repro.core.fabric)."""
-    from repro.core.executor import Point, PointFailure
-    from repro.core.fabric import (
-        FabricCoordinator,
-        FabricTransportError,
-        FabricWorker,
-        resolve_ttl,
-        sweep_status,
-    )
-    from repro.core.fabric_net import make_lease_store
-
-    if args.action == "broker":
-        return _cmd_fabric_broker(args)
-
-    if args.action == "worker":
-        try:
-            ttl_s = resolve_ttl(args.ttl)
-            store = make_lease_store(args.sweep, addr=_fabric_addr(args))
-            worker = FabricWorker(
-                args.sweep, worker_id=args.id, ttl_s=ttl_s, store=store
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            grid_ready = worker.store.exists
-        except FabricTransportError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not grid_ready:
-            print(
-                f"error: no fabric sweep {args.sweep!r} "
-                f"(expected a grid at {worker.store.grid_path}); "
-                "start one with `repro fabric start`",
-                file=sys.stderr,
-            )
-            return 2
-        stats = worker.run()
-        note = " (broker lost: drained cleanly)" if stats.get("broker_lost") else ""
-        print(
-            f"worker {worker.worker_id}: {stats['computed']} computed, "
-            f"{stats['failed']} failed, {stats['stolen']} stolen, "
-            f"{stats['fenced']} fenced mid-run, "
-            f"{stats['rejected']} stale write(s) rejected{note}"
-        )
-        return 0
-
-    if args.action == "status":
-        return _cmd_fabric_status(args)
-
-    # start
-    bad = [a for a in args.apps if _check_app(a)]
-    if bad:
-        print(f"error: {_check_app(bad[0])}", file=sys.stderr)
-        return 2
-    config = _config_from(args)
-    points = [Point(app, args.scale, config) for app in args.apps]
-    name = args.name or f"fabric-{'-'.join(args.apps)}-s{args.scale:g}"
-    try:
-        ttl_s = resolve_ttl(args.ttl)
-        store = make_lease_store(name, addr=_fabric_addr(args))
-        coordinator = FabricCoordinator(
-            name, points, n_workers=args.workers, ttl_s=ttl_s, store=store
-        )
-        summary = coordinator.run()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = []
-    for point, result in zip(points, summary["results"]):
-        if isinstance(result, PointFailure):
-            rows.append([point.app, "FAILED", result.error.splitlines()[0][:50]])
-        else:
-            rows.append([point.app, f"{result.speedup:.2f}", ""])
-    print(format_table(["app", "speedup", "error"], rows,
-                       title=f"fabric sweep '{name}' (scale {args.scale:g})"))
-    try:
-        st = sweep_status(coordinator.store)
-    except FabricTransportError:
-        print("\n(broker unreachable for the final status roll-up)")
-        return 1 if summary["failures"] else 0
-    transport = summary.get("transport", "fs")
-    if summary.get("degraded"):
-        transport = f"{transport}, degraded to {summary['degraded']}"
-    print(
-        f"\n{st['done']}/{st['total']} done, {st['failed']} failed; "
-        f"{st['steals']} lease steal(s), {st['rejections']} stale write(s) "
-        f"rejected; workers seen: {st['workers_seen']}; "
-        f"transport: {transport}"
-    )
-    return 1 if summary["failures"] else 0
-
-
-def _cmd_fabric_broker(args: argparse.Namespace) -> int:
-    """``repro fabric broker``: serve leases over TCP until signalled."""
-    import signal
-    import threading
-
-    from repro.core.fabric_net import FabricBroker, parse_addr
-
-    try:
-        host, port = parse_addr(args.addr)
-        broker = FabricBroker(
-            host, port, root=args.root, session_ttl_s=args.session_ttl
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    broker.start()
-    print(
-        f"fabric broker listening on {broker.addr} "
-        f"(state under {broker.root}, session TTL {broker.session_ttl_s:g}s); "
-        "point workers at it with REPRO_FABRIC_ADDR or --broker",
-        flush=True,
-    )
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        stop.wait()
-    finally:
-        broker.stop()
-    print("fabric broker stopped")
-    return 0
-
-
-def _cmd_fabric_status(args: argparse.Namespace) -> int:
-    """``repro fabric status``: transport/broker/lease/worker roll-up."""
-    import time as _time
-
-    from repro.core.fabric import (
-        FabricTransportError,
-        LeaseStore,
-        list_fabric_sweeps,
-        sweep_status,
-    )
-    from repro.core.fabric_net import RemoteLeaseStore, query_broker
-
-    addr = _fabric_addr(args)
-    stores: list = []
-    if addr:
-        try:
-            names = query_broker(addr)["sweeps"]
-            stores = [
-                RemoteLeaseStore(args.sweep or name, addr)
-                for name in ([args.sweep] if args.sweep else names)
-            ]
-        except (FabricTransportError, ValueError) as exc:
-            print(
-                f"broker at {addr} unreachable ({exc}); "
-                "showing the local filesystem view"
-            )
-            addr = None
-    if not addr:
-        stores = [LeaseStore(args.sweep)] if args.sweep else list_fabric_sweeps()
-    try:
-        stores = [s for s in stores if s.exists]
-    except FabricTransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not stores:
-        print("no fabric sweeps found")
-        return 0
-    rows = []
-    statuses = []
-    for store in stores:
-        st = sweep_status(store)
-        statuses.append(st)
-        if st["transport"] == "tcp":
-            reach = "up" if store.reachable() else "DOWN"
-            broker_col = f"{st['broker']} ({reach})"
-        else:
-            broker_col = "-"
-        orphaned = str(st["orphaned"])
-        if st["broker_orphaned"]:
-            orphaned += f" ({st['broker_orphaned']} broker)"
-        rows.append([
-            st["sweep"], st["transport"], broker_col,
-            st["total"], st["done"], st["failed"],
-            st["leased"], orphaned, st["unclaimed"],
-            f"{st['workers_alive']}/{st['workers_seen']}",
-            st["steals"], st["rejections"],
-        ])
-    print(format_table(
-        ["sweep", "transport", "broker", "total", "done", "failed",
-         "leased", "orphaned", "unclaimed", "workers", "steals", "rejected"],
-        rows, title="Fabric sweeps"))
-    if args.sweep:
-        now = _time.time()
-        leases = stores[0].leases()
-        if leases:
-            lease_rows = [
-                [lease.key[:12], lease.worker, lease.token, lease.status,
-                 "expired" if (lease.status == "held"
-                               and lease.reclaimable(now))
-                 else f"{max(0.0, lease.expires_unix - now):.0f}s"]
-                for lease in leases
-            ]
-            print()
-            print(format_table(
-                ["point", "owner", "token", "status", "ttl"],
-                lease_rows, title="Leases"))
-        workers = statuses[0]["workers"]
-        if workers:
-            worker_rows = []
-            for rec in workers:
-                beat = rec.get("beat_unix")
-                age = rec.get("beat_age_s")
-                if age is None and isinstance(beat, (int, float)):
-                    age = max(0.0, now - float(beat))
-                worker_rows.append([
-                    rec.get("worker", "?"),
-                    rec.get("session") or "-",
-                    f"{age:.1f}s" if age is not None else "-",
-                    "yes" if rec.get("alive") else "no",
-                    rec.get("phase", "-"),
-                ])
-            print()
-            print(format_table(
-                ["worker", "session", "last beat", "alive", "phase"],
-                worker_rows, title="Workers"))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1270,80 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="export: store table to export (default: runs)",
     )
 
-    p_fab = sub.add_parser(
-        "fabric",
-        help="distributed sweeps: leased work queue with fencing tokens",
-    )
-    fab_sub = p_fab.add_subparsers(dest="action", required=True)
-
-    def _add_broker_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--broker", default=None, metavar="HOST:PORT",
-            help="lease broker address for multi-machine sweeps (default: "
-            "$REPRO_FABRIC_ADDR, else the local filesystem store)",
-        )
-
-    p_fab_start = fab_sub.add_parser(
-        "start",
-        help="shard a grid into leases, spawn workers, run to completion",
-    )
-    p_fab_start.add_argument("apps", nargs="+", help="applications to sweep")
-    p_fab_start.add_argument(
-        "--name", default=None,
-        help="fabric sweep name (default: derived from apps and scale)",
-    )
-    p_fab_start.add_argument(
-        "--workers", type=int, default=2,
-        help="worker subprocesses to spawn (the coordinator also works inline, "
-        "so 0 degrades to a serial sweep)",
-    )
-    p_fab_start.add_argument(
-        "--ttl", type=float, default=None,
-        help="lease TTL in seconds before an unrenewed point is stolen "
-        "(default: $REPRO_FABRIC_TTL_S, else 30)",
-    )
-    _add_broker_option(p_fab_start)
-    _add_comm_options(p_fab_start)
-    _add_fault_options(p_fab_start)
-
-    p_fab_worker = fab_sub.add_parser(
-        "worker", help="join an existing fabric sweep's claim loop"
-    )
-    p_fab_worker.add_argument("sweep", help="sweep name under results/.fabric/")
-    p_fab_worker.add_argument(
-        "--ttl", type=float, default=None,
-        help="lease TTL in seconds (default: $REPRO_FABRIC_TTL_S, else 30)",
-    )
-    p_fab_worker.add_argument("--id", default=None,
-                              help="worker id (default: derived from the PID)")
-    _add_broker_option(p_fab_worker)
-
-    p_fab_status = fab_sub.add_parser(
-        "status", help="lease/worker progress for fabric sweeps"
-    )
-    p_fab_status.add_argument("sweep", nargs="?", default=None)
-    _add_broker_option(p_fab_status)
-
-    p_fab_broker = fab_sub.add_parser(
-        "broker",
-        help="serve leases/fencing tokens over TCP for multi-machine sweeps",
-    )
-    p_fab_broker.add_argument(
-        "--addr", default="127.0.0.1:7341", metavar="HOST:PORT",
-        help="listen address (port 0 picks a free port; default "
-        "127.0.0.1:7341 — use 0.0.0.0:PORT to serve other machines)",
-    )
-    p_fab_broker.add_argument(
-        "--root", default=None, metavar="DIR",
-        help="fabric state directory (default: $REPRO_FABRIC_DIR, "
-        "else results/.fabric)",
-    )
-    p_fab_broker.add_argument(
-        "--session-ttl", type=float, default=None,
-        help="seconds of silence before a client session counts as dead "
-        "(default: $REPRO_FABRIC_SESSION_TTL_S, else 15)",
-    )
-
     return parser
 
 
@@ -1358,7 +1016,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "resume": cmd_resume,
         "cache": cmd_cache,
         "report": cmd_report,
-        "fabric": cmd_fabric,
     }
     return handlers[args.command](args)
 

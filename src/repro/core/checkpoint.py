@@ -40,30 +40,11 @@ import re
 import shutil
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.fslock import file_lock
 
 DEFAULT_CHECKPOINT_DIR = os.path.join("results", ".checkpoints")
-
-#: Journal write guard installed by the distributed sweep fabric
-#: (:mod:`repro.core.fabric`).  Called as ``guard(sweep_name, key)``
-#: before every journal append; it may raise (e.g.
-#: ``StaleFencingTokenError`` when the writer's lease on ``key`` has
-#: been superseded — the append then never happens) and may return extra
-#: fields to tag the record with (the lease's fencing token and worker
-#: id).  ``None`` (the default) means unguarded single-writer operation.
-_journal_write_guard: Optional[
-    Callable[[str, str], Optional[Dict[str, object]]]
-] = None
-
-
-def set_journal_write_guard(
-    guard: Optional[Callable[[str, str], Optional[Dict[str, object]]]],
-) -> None:
-    """Install (or clear, with ``None``) the process-wide journal guard."""
-    global _journal_write_guard
-    _journal_write_guard = guard
 
 #: sweep names become directories: path-safe segments only, "/" allowed
 #: as a grouping separator (``run-all-s1.0/figure01``)
@@ -193,21 +174,11 @@ class SweepCheckpoint:
     # journal
     # ------------------------------------------------------------------ #
     def record(self, key: str, status: str, **extra: object) -> None:
-        """Journal one point outcome (idempotent per ``(key, status)``).
-
-        With a fabric write guard installed (distributed sweeps), the
-        guard is consulted *before* the append: a stale fencing token
-        aborts the write by raising, and a valid one tags the record
-        with its token/worker provenance.
-        """
+        """Journal one point outcome (idempotent per ``(key, status)``)."""
         if self._recorded.get(key) == status:
             return
         rec = {"key": key, "status": status}
         rec.update(extra)
-        if _journal_write_guard is not None:
-            tags = _journal_write_guard(self.name, key)
-            if tags:
-                rec.update(tags)
         line = (json.dumps(rec, sort_keys=True, default=repr) + "\n").encode("utf-8")
         with file_lock(self._lock_path):
             try:
@@ -243,11 +214,6 @@ class SweepCheckpoint:
             str(rec["key"]): str(rec.get("status", ""))
             for rec in self.load()
         }
-
-    def refresh(self) -> None:
-        """Re-read the journal from disk, picking up records appended by
-        *other* processes (fabric workers sharing this sweep)."""
-        self._reload_journal()
 
     def completed_keys(self) -> Set[str]:
         """Content keys of points the journal marks successfully done."""

@@ -387,19 +387,39 @@ def _resource_guard(
                 pass
 
 
+#: how often a pool worker checks that the sweep that started it is alive
+_ORPHAN_POLL_S = 1.0
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Pool-worker watchdog thread: exit once ``parent`` has died.
+
+    A dead parent's pool never sends the shutdown message, and a worker
+    ignoring SIGINT/SIGTERM would otherwise idle forever, reparented.
+    Its in-flight point is lost either way; the cache write is atomic.
+    """
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
 def _worker_init() -> None:
     """Pool-worker initializer: leave interrupt handling to the parent.
 
     On Ctrl-C the terminal signals the whole process group; workers must
     finish (and cache) their in-flight point so the parent's graceful
     drain has something to journal, so they ignore SIGINT/SIGTERM and
-    exit when the parent shuts the pool down.
+    exit when the parent shuts the pool down — or, if the parent is
+    killed outright, within :data:`_ORPHAN_POLL_S` of its death.
     """
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:
             signal.signal(sig, signal.SIG_IGN)
         except (ValueError, OSError):  # pragma: no cover - exotic platforms
             pass
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
 
 
 @contextmanager
@@ -499,7 +519,6 @@ def run_points(
     deadline_s: Optional[float] = None,
     rss_mb: Optional[float] = None,
     fidelity: Optional[str] = None,
-    journal_extra: Optional[Dict[str, object]] = None,
 ) -> List[Union[RunResult, PointFailure]]:
     """Run (or fetch) every point, in parallel, preserving input order.
 
@@ -525,10 +544,6 @@ def run_points(
     point; ``"analytic"`` serves the closed-form fast model;
     ``"auto"`` runs a DES calibration subset and serves the rest from
     the calibrated fast model with recorded error bounds.
-
-    ``journal_extra`` fields are merged into every journal record this
-    call writes — the sweep fabric tags outcomes with the worker id that
-    produced them (fencing tokens are added by the journal write guard).
     """
     from repro.core import runcache, sweeps
 
@@ -564,13 +579,11 @@ def run_points(
         keys = {p: runcache.content_key(p.app, p.scale, p.config) for p in unique}
         journal_done = cp.completed_keys()
 
-    tags: Dict[str, object] = dict(journal_extra or {})
-
     def _journal(p: Point, outcome: Union[RunResult, PointFailure]) -> None:
         if cp is None:
             return
         if isinstance(outcome, RunResult):
-            cp.record(keys[p], "done", app=p.app, scale=p.scale, **tags)
+            cp.record(keys[p], "done", app=p.app, scale=p.scale)
         else:
             cp.record(
                 keys[p],
@@ -579,7 +592,6 @@ def run_points(
                 scale=p.scale,
                 kind=outcome.kind,
                 error=outcome.error,
-                **tags,
             )
 
     # Satisfy what we can from the layered caches (memory, then disk).

@@ -18,11 +18,6 @@ sequences — journal appends, quarantine moves — need mutual exclusion.
 * on platforms without ``fcntl`` (Windows) the lock degrades to a no-op
   rather than blocking the harness — single-machine POSIX clusters are
   the deployment target.
-
-The same ``(pid, start time)`` identity primitive backs worker liveness
-in the distributed sweep fabric (:mod:`repro.core.fabric`): heartbeat
-files carry it, so a vanished worker whose PID was recycled is still
-detected as dead and its leases are reclaimed.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 #: procfs mount point; tests monkeypatch this to simulate hosts without
 #: /proc (macOS, slim containers) where start-time identity degrades to
-#: TTL-only liveness in the fabric (never "holder assumed dead").
+#: a plain existence check (never "holder assumed dead").
 PROC_ROOT = "/proc"
 
 

@@ -43,7 +43,7 @@ import os
 import pathlib
 import pickle
 import tempfile
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.fslock import file_lock
 
@@ -75,20 +75,6 @@ DEFAULT_CACHE_DIR = os.path.join("results", ".runcache")
 QUARANTINE_DIRNAME = "quarantine"
 
 _LOCK_FILENAME = ".lock"
-
-#: Cache write guard installed by the distributed sweep fabric
-#: (:mod:`repro.core.fabric`).  Called as ``guard(key)`` before every
-#: :meth:`DiskCache.put`; raising (``StaleFencingTokenError``) aborts
-#: the write, so a worker whose lease expired mid-computation can never
-#: clobber its successor's record.  ``None`` = unguarded (default).
-_write_guard: Optional[Callable[[str], object]] = None
-
-
-def set_write_guard(guard: Optional[Callable[[str], object]]) -> None:
-    """Install (or clear, with ``None``) the process-wide cache write guard."""
-    global _write_guard
-    _write_guard = guard
-
 
 def content_key(app: str, scale: float, config: "ClusterConfig") -> str:
     """Stable content hash identifying one simulation point.
@@ -206,8 +192,6 @@ class DiskCache:
         return None
 
     def put(self, key: str, result: "RunResult") -> None:
-        if _write_guard is not None:
-            _write_guard(key)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         record = {
             "magic": _MAGIC,

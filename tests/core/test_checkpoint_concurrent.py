@@ -4,8 +4,7 @@ Two separate processes journaling into the *same* sweep directory under
 contention must never interleave bytes within a record or lose each
 other's appends — the advisory lock + read-modify-rename append in
 :meth:`repro.core.checkpoint.SweepCheckpoint.record` serializes them.
-This is the single-sweep invariant the distributed fabric builds on
-(fabric workers share one journal per sweep).
+Two sweeps on one machine pointed at the same checkpoint name rely on it.
 """
 
 import json
@@ -67,7 +66,7 @@ def test_two_processes_append_without_tearing(ckpt_dir):
 
     # Record-level: load() sees the union of both writers' appends, each
     # exactly once, with its payload intact.
-    cp.refresh()
+    cp.load()
     assert cp.corrupt_lines == 0
     expected = {
         f"w{i}-{j:03d}"

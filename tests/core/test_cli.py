@@ -187,16 +187,15 @@ def test_list_includes_reliability(capsys):
 
 
 # --------------------------------------------------------------------- #
-# fabric: distributed sweeps
+# resume: the bare listing of checkpointed sweeps
 # --------------------------------------------------------------------- #
 @pytest.fixture
-def fabric_env(tmp_path, monkeypatch):
+def resume_env(tmp_path, monkeypatch):
     from repro.core import runcache
     from repro.core.sweeps import clear_caches
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "cp"))
-    monkeypatch.setenv("REPRO_FABRIC_DIR", str(tmp_path / "fabric"))
     runcache.reset_disk_cache()
     clear_caches()
     yield tmp_path
@@ -204,48 +203,18 @@ def fabric_env(tmp_path, monkeypatch):
     clear_caches()
 
 
-def test_fabric_start_degrades_to_serial_with_zero_workers(fabric_env, capsys):
-    rc = main(["fabric", "start", "fft", "--scale", "0.05",
-               "--workers", "0", "--name", "cli-test"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "fabric sweep 'cli-test'" in out
-    assert "1/1 done, 0 failed" in out
-
-
-def test_fabric_status_and_resume_table(fabric_env, capsys):
-    assert main(["fabric", "start", "fft", "--scale", "0.05",
-                 "--workers", "0", "--name", "cli-test"]) == 0
+def test_resume_lists_checkpointed_sweeps(resume_env, capsys):
+    assert main(["sweep", "fft", "interrupt_cost", "0", "500", "--scale", "0.05",
+                 "--checkpoint", "cli-sweep"]) == 0
     capsys.readouterr()
-    assert main(["fabric", "status"]) == 0
-    out = capsys.readouterr().out
-    assert "cli-test" in out and "orphaned" in out
-    # detailed view lists per-lease rows
-    assert main(["fabric", "status", "cli-test"]) == 0
-    out = capsys.readouterr().out
-    assert "Leases" in out and "done" in out
-    # the resume table shows lease/owner columns for fabric sweeps
     assert main(["resume"]) == 0
-    out = capsys.readouterr().out
-    assert "leased" in out and "orphaned" in out and "cli-test" in out
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if "sweep" in line and "status" in line)
+    assert header.split() == ["sweep", "done", "failed", "status"]
+    row = next(line for line in lines if "cli-sweep" in line)
+    assert row.split() == ["cli-sweep", "2", "0", "complete"]
 
 
-def test_fabric_status_empty(fabric_env, capsys):
-    assert main(["fabric", "status"]) == 0
-    assert "no fabric sweeps" in capsys.readouterr().out
-
-
-def test_fabric_worker_unknown_sweep(fabric_env, capsys):
-    assert main(["fabric", "worker", "nope"]) == 2
-    assert "no fabric sweep" in capsys.readouterr().err
-
-
-def test_fabric_worker_joins_existing_sweep(fabric_env, capsys):
-    from repro.core.config import ClusterConfig
-    from repro.core.executor import Point
-    from repro.core.fabric import LeaseStore
-
-    LeaseStore("cli-join").init_grid([Point("fft", 0.05, ClusterConfig())])
-    assert main(["fabric", "worker", "cli-join", "--id", "wx"]) == 0
-    out = capsys.readouterr().out
-    assert "worker wx: 1 computed" in out
+def test_resume_without_checkpoints(resume_env, capsys):
+    assert main(["resume"]) == 0
+    assert capsys.readouterr().out.strip() == "no checkpointed sweeps found"

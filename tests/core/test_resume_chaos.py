@@ -104,6 +104,32 @@ def _wait_for_partial_progress(proc, tmp, timeout=120.0):
     pytest.fail("no journal progress within timeout")
 
 
+def _live_session_members(sid: int) -> list:
+    """PIDs of processes in session ``sid`` that have not exited."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            raw = pathlib.Path("/proc", entry, "stat").read_bytes()
+        except OSError:
+            continue  # exited while we looked
+        # fields after the comm: [0] is stat field 3 (state), [3] field 6
+        # (session id); a zombie has exited and only awaits its reaper
+        fields = raw[raw.rindex(b")") + 2:].split()
+        if int(fields[3]) == sid and fields[0] != b"Z":
+            members.append(int(entry))
+    return members
+
+
+def _wait_for_empty_session(sid: int, timeout: float = 15.0) -> list:
+    """Live members of session ``sid`` left after up to ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while (members := _live_session_members(sid)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return members
+
+
 def _run_child(script: pathlib.Path, out: pathlib.Path, env: dict) -> None:
     subprocess.run(
         [sys.executable, str(script), str(out)],
@@ -126,19 +152,28 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
     # --- chaos: SIGKILL the sweep mid-run, then resume it
     chaos_dir = tmp_path / "chaos"
     chaos_out = tmp_path / "chaos.json"
+    # its own session, so every process it forks can be found and reaped
     proc = subprocess.Popen(
         [sys.executable, str(script), str(chaos_out)],
         env=_env(chaos_dir, delay="1.0"),
         cwd=REPO_ROOT,
+        start_new_session=True,
     )
     try:
         done_at_kill = _wait_for_partial_progress(proc, chaos_dir)
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60)
+        leftovers = _wait_for_empty_session(proc.pid)
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on test failure
             proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:
+            pass  # the session is already empty
     assert proc.returncode == -signal.SIGKILL
+    # the killed sweep's pool workers must not outlive it
+    assert leftovers == [], f"orphaned sweep processes still running: {leftovers}"
     assert not chaos_out.exists(), "killed run must not have produced output"
     # the journal survived the kill with the pre-kill progress intact
     assert _journal_done(chaos_dir) >= done_at_kill
