@@ -86,23 +86,29 @@ class MemoryBus:
             ) from None
         if nbytes < 0:
             raise ValueError("negative transfer size")
+        service = arb + nbytes / self.bandwidth()
+        self.transfer_count += 1
+        self.transfer_bytes += nbytes
+        if self.metrics is not None:
+            self.meter(kind, nbytes)
+        return self.queue.latency(service)
+
+    def bandwidth(self) -> float:
+        """Bytes/cycle a burst transfer sees now: background load from
+        compute blocks eats into the nominal bandwidth."""
         bpc = self._bpc
         bg = self._bg_rate
         if bg == 0.0:
-            # Idle-bus fast path: residual bandwidth is exactly 1.0.
-            service = arb + nbytes / bpc
-        else:
-            # Background load eats into the bandwidth a burst transfer sees.
-            residual = max(0.05, 1.0 - min(_RHO_CAP, bg / bpc))
-            service = arb + nbytes / (bpc * residual)
-        self.transfer_count += 1
-        self.transfer_bytes += nbytes
+            return bpc
+        return bpc * max(0.05, 1.0 - min(_RHO_CAP, bg / bpc))
+
+    def meter(self, kind: str, nbytes: int) -> None:
+        """Record one transfer in the metrics registry (before its
+        reservation, so the sampled backlog excludes it)."""
         metrics = self.metrics
-        if metrics is not None:
-            metrics.bump(f"{self.name}.{kind}.transfers")
-            metrics.bump(f"{self.name}.{kind}.bytes", nbytes)
-            metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
-        return self.queue.latency(service)
+        metrics.bump(f"{self.name}.{kind}.transfers")
+        metrics.bump(f"{self.name}.{kind}.bytes", nbytes)
+        metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
 
     def transfer_latency_batch(self, nbytes, kind: str = "mem"):
         """Vectorized :meth:`transfer_latency` for a same-cycle batch.
@@ -121,13 +127,7 @@ class MemoryBus:
         sizes = np.asarray(nbytes, dtype=np.float64)
         if sizes.size and sizes.min() < 0:
             raise ValueError("negative transfer size")
-        bpc = self._bpc
-        bg = self._bg_rate
-        if bg == 0.0:
-            services = arb + sizes / bpc
-        else:
-            residual = max(0.05, 1.0 - min(_RHO_CAP, bg / bpc))
-            services = arb + sizes / (bpc * residual)
+        services = arb + sizes / self.bandwidth()
         self.transfer_count += sizes.size
         total = int(sizes.sum())
         self.transfer_bytes += total

@@ -7,7 +7,9 @@ progress.  The paper's central result — interrupt cost dominates SVM
 performance — falls out of exactly this interaction, so it is modelled
 carefully:
 
-* Handlers on one CPU are serialized (:attr:`Processor._handler_lock`).
+* Handlers on one CPU are serialized: a FIFO handler lock per CPU.
+* A handler runs as a :class:`HandlerRun`: scheduled callbacks that
+  step the handler body directly, not a simulation process.
 * The application thread's occupancy loop measures the integral of
   handler-busy time over its own window and extends itself by exactly
   that amount (see :meth:`Processor._occupied`) — an exact model of
@@ -21,10 +23,12 @@ cost breakdowns (Section 7).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, Iterator, Optional
+from collections import deque
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, Iterator, Optional
 
-from repro.sim.primitives import Event
-from repro.sim.resources import Resource
+from repro.sim.primitives import Event, Waitable
+from repro.sim.process import ProcessCrash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.membus import MemoryBus
@@ -128,7 +132,9 @@ class Processor:
         #: None keeps the handler path at a single attribute check
         self.metrics: Any = None
 
-        self._handler_lock = Resource(sim, capacity=1, name=f"{self.name}.irq")
+        #: handler lock: held by the running handler; waiters queue FIFO
+        self._handler_held = False
+        self._handler_waiters: Deque["HandlerRun"] = deque()
         self._irq_end_name = f"{self.name}.irq_end"
         self._handler_busy_completed = 0
         self._active_start: Optional[int] = None
@@ -151,41 +157,27 @@ class Processor:
         return self._active_start is not None
 
     def run_handler(self, body: Iterator, delivery: int = 0) -> Generator:
-        """Run ``body`` as an interrupt handler on this CPU.
+        """Run ``body`` as a handler on this CPU, starting now.
 
-        Yieldable generator: handlers on the same CPU serialize; the
-        handler's full duration (including any bus waits inside the body)
-        is charged to this CPU's ``handler`` time and steals cycles from
-        the application thread.  ``delivery`` cycles (kernel entry and
-        context switch of an interrupt) run on the CPU ahead of the body.
-        Returns the body's return value.
+        Yieldable generator returning the body's return value, for
+        callers that wait on a handler inline.  The handler itself is a
+        :class:`HandlerRun`, like every interrupt's: handlers on one CPU
+        serialize, and the handler's full duration (``delivery`` cycles
+        of kernel entry, then the body, bus waits included) is charged to
+        this CPU's ``handler`` time and steals cycles from the
+        application thread.
         """
-        yield self._handler_lock.acquire()
-        self._active_start = self.sim.now
-        self._active_end = Event(self.sim, name=self._irq_end_name)
-        metrics = self.metrics
-        if metrics is not None:
-            # node-level union tracker: "some CPU of this node is inside a
-            # protocol handler" (simultaneous handlers on sibling CPUs
-            # count once), plus a per-CPU invocation tally
-            key = f"n{self.node.node_id}.handler" if self.node is not None else f"{self.name}.handler"
-            metrics.begin_busy(key, self.sim.now)
-            metrics.bump(f"{self.name}.handlers")
-        try:
-            if delivery:
-                yield delivery
-            result = yield from body
-        finally:
-            duration = self.sim.now - self._active_start
-            self._handler_busy_completed += duration
-            self.stats.add("handler", duration)
-            self._active_start = None
-            end_event, self._active_end = self._active_end, None
-            if metrics is not None:
-                metrics.end_busy(key, self.sim.now)
-            end_event.succeed()
-            self._handler_lock.release()
-        return result
+        done = Event(self.sim)
+        HandlerRun(self, body, f"{self.name}.handler", delivery, done).start()
+        return (yield done)
+
+    def _handler_key(self) -> str:
+        # node-level union tracker: "some CPU of this node is inside a
+        # protocol handler" (simultaneous handlers on sibling CPUs count
+        # once)
+        if self.node is not None:
+            return f"n{self.node.node_id}.handler"
+        return f"{self.name}.handler"
 
     # ------------------------------------------------------------------ #
     # application-thread occupancy
@@ -273,3 +265,136 @@ class Processor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Processor({self.name})"
+
+
+class HandlerRun:
+    """One protocol handler on a CPU, run without a simulation process.
+
+    The caller builds it when the request is raised, then schedules
+    :meth:`start` after its own prologue (interrupt issue, poll or
+    assist delay).  Each link takes the calendar slot the matching
+    resumption of a handler process would take:
+
+    * :meth:`start` takes the CPU's handler lock, granting it in a
+      fresh slot at the current time, or queues FIFO for it;
+    * :meth:`_enter` (the grant slot) opens the handler bracket — busy
+      accounting, the ``_active_end`` event the application thread
+      waits on, metrics — and runs ``delivery`` cycles of kernel entry
+      before the body;
+    * :meth:`_step` drives the body like a process would: it accepts a
+      bare ``int`` delay or any :class:`~repro.sim.primitives.Waitable`.
+      When the body returns, :meth:`_exit` closes the bracket:
+      ``_active_end`` fires, the lock passes on, then ``done`` (if
+      given) succeeds with the body's return value.
+
+    A handler counts as a live process for the watchdog from the moment
+    it is built, under ``name``; a body that raises releases the CPU and
+    then surfaces as :class:`~repro.sim.process.ProcessCrash`.
+    """
+
+    __slots__ = ("cpu", "body", "name", "delivery", "done", "_wake")
+
+    #: handlers are never daemons: one that cannot finish is a deadlock
+    daemon = False
+
+    def __init__(
+        self,
+        cpu: Processor,
+        body: Iterator,
+        name: str,
+        delivery: int = 0,
+        done: Optional[Event] = None,
+    ) -> None:
+        if type(body) is not GeneratorType:
+            body = _delegate(body)  # any iterator, e.g. the null body
+        self.cpu = cpu
+        self.body = body
+        self.name = name
+        self.delivery = delivery
+        self.done = done
+        self._wake: Any = None
+        cpu.sim._processes.add(self)
+
+    def start(self) -> None:
+        """Take the CPU's handler lock, or queue behind its holder."""
+        cpu = self.cpu
+        if cpu._handler_held:
+            cpu._handler_waiters.append(self)
+        else:
+            cpu._handler_held = True
+            cpu.sim.schedule_now(self._enter)
+
+    def _enter(self) -> None:
+        cpu = self.cpu
+        sim = cpu.sim
+        cpu._active_start = sim.now
+        cpu._active_end = Event(sim, name=cpu._irq_end_name)
+        metrics = cpu.metrics
+        if metrics is not None:
+            metrics.begin_busy(cpu._handler_key(), sim.now)
+            metrics.bump(f"{cpu.name}.handlers")  # per-CPU invocation tally
+        self._wake = step = self._step
+        if self.delivery:
+            sim.schedule(self.delivery, step, None)
+        else:
+            step(None)
+
+    def _exit(self) -> None:
+        cpu = self.cpu
+        sim = cpu.sim
+        duration = sim.now - cpu._active_start
+        cpu._handler_busy_completed += duration
+        cpu.stats.add("handler", duration)
+        cpu._active_start = None
+        end_event, cpu._active_end = cpu._active_end, None
+        if cpu.metrics is not None:
+            cpu.metrics.end_busy(cpu._handler_key(), sim.now)
+        end_event.succeed()
+        waiters = cpu._handler_waiters
+        if waiters:
+            # the lock passes straight to the next handler
+            sim.schedule_now(waiters.popleft()._enter)
+        else:
+            cpu._handler_held = False
+        # drop the self-reference so the handler is freed by refcount
+        self._wake = None
+        sim._processes.discard(self)
+
+    def _resume(self, value: Any) -> None:
+        self._step(value)
+
+    def _resume_exc(self, exc: BaseException) -> None:
+        self._step(None, exc)
+
+    def _step(self, value: Any, exc: Optional[BaseException] = None) -> None:
+        try:
+            if exc is not None:
+                target = self.body.throw(exc)
+            else:
+                target = self.body.send(value)
+        except StopIteration as stop:
+            self._exit()
+            if self.done is not None:
+                self.done.succeed(stop.value)
+            return
+        except ProcessCrash:
+            self._exit()
+            raise
+        except BaseException as err:
+            self._exit()
+            raise ProcessCrash(self, err) from err
+
+        if target.__class__ is int:
+            # a bare integer yield is a timeout, as in a process
+            self.cpu.sim.schedule(target, self._wake, None)
+        elif isinstance(target, Waitable):
+            target._wait(self)  # type: ignore[arg-type]
+        else:
+            raise ProcessCrash(self, TypeError(f"handler yielded non-waitable {target!r}"))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"HandlerRun({self.name!r} on {self.cpu.name})"
+
+
+def _delegate(iterator: Iterator) -> Generator:
+    return (yield from iterator)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.arch.membus import MemoryBus
-from repro.arch.processor import Processor
+from repro.arch.processor import HandlerRun, Processor
 from repro.core.config import ClusterConfig
 from repro.core.stats import MetricsRegistry
 from repro.net.faults import FaultInjector
@@ -107,44 +107,38 @@ class Node:
                 self.service_cpu.metrics = metrics
 
     # ------------------------------------------------------------------ #
-    def dispatch_request(self, body_factory, name: str = "req"):
+    def dispatch_request(self, body_factory, name: str = "req") -> None:
         """Route an incoming protocol request to a handler executor per
         the configured protocol-processing mode.
 
         ``body_factory(cpu)`` builds the handler generator for the chosen
-        executor.  Returns an event that fires at handler completion.
+        executor.  Every mode runs it as a
+        :class:`~repro.arch.processor.HandlerRun` after a prologue that
+        starts in a slot at the current time.
         """
         mode = self.comm.protocol_processing
         if mode == "interrupt":
-            return self.irq.raise_interrupt(body_factory, name=name)
-        from repro.sim.primitives import Event  # local import avoids cycle
-
-        done = Event(self.sim, name=f"{name}.done")
+            self.irq.post_interrupt(body_factory, name=name)
+            return
         cpu = self.service_cpu
         assert cpu is not None
-
+        handler = HandlerRun(cpu, body_factory(cpu), name)
+        sim = self.sim
         if mode == "polling-dedicated":
             # the poller notices after (on average) poll_latency cycles;
             # no interrupt, no application CPU stolen
-            def poller():
-                yield self.sim.timeout(self.comm.poll_latency)
-                result = yield from cpu.run_handler(body_factory(cpu))
-                done.succeed(result)
+            sim.schedule_now(sim.schedule, self.comm.poll_latency, handler.start)
+        else:
+            sim.schedule_now(self._assist, handler)
 
-            self.sim.spawn(poller(), name=name)
-            return done
-
+    def _assist(self, handler: HandlerRun) -> None:
         # ni-offload: the slow programmable assist runs the handler; it
         # also consumes NI core bandwidth for the extra assist work
-        def assist():
-            overhead = self.comm.assist_overhead
-            if overhead:
-                yield self.sim.timeout(self.nic.core.latency(overhead))
-            result = yield from cpu.run_handler(body_factory(cpu))
-            done.succeed(result)
-
-        self.sim.spawn(assist(), name=name)
-        return done
+        overhead = self.comm.assist_overhead
+        if overhead:
+            self.sim.schedule(self.nic.core.latency(overhead), handler.start)
+        else:
+            handler.start()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, cpus={len(self.cpus)})"

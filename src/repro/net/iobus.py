@@ -40,12 +40,17 @@ class IOBus:
             raise ValueError("negative DMA size")
         if nbytes == 0:
             return 0
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.bump(f"{self.name}.dmas")
-            metrics.bump(f"{self.name}.dma_bytes", nbytes)
-            metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
+        if self.metrics is not None:
+            self.meter(nbytes)
         return self.queue.transfer(nbytes)
+
+    def meter(self, nbytes: int) -> None:
+        """Record one DMA in the metrics registry (before its
+        reservation, so the sampled backlog excludes it)."""
+        metrics = self.metrics
+        metrics.bump(f"{self.name}.dmas")
+        metrics.bump(f"{self.name}.dma_bytes", nbytes)
+        metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
 
     @property
     def backlog_bytes(self) -> float:

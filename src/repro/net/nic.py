@@ -158,10 +158,25 @@ class NetworkInterface:
         resource is still reserved for its full service time — contention
         is preserved — but the message's latency is
         ``max(stage sojourns) + link latency``.
+
+        The stages are reserved in one pass, in path order: the sender's
+        memory bus (NI-out class) and I/O bus, the link, the receiver's
+        I/O bus and memory bus (NI-in class), then both NI cores.  Each
+        queued stage is :meth:`FluidQueue.latency
+        <repro.sim.resources.FluidQueue.latency>` written out inline — a
+        service time rounded up to whole cycles, queued behind the
+        resource's backlog — with the service times and statistics of
+        :meth:`MemoryBus.transfer_latency
+        <repro.arch.membus.MemoryBus.transfer_latency>` and
+        :meth:`IOBus.dma_latency <repro.net.iobus.IOBus.dma_latency>`.
+        This send-path hot spot costs one call where the per-resource
+        methods cost a dozen; ``tests/net/test_reservation.py`` holds
+        the two to the same queue states and delays.
         """
         a = self.arch
         iobus = self.iobus
-        if iobus.backlog_bytes > a.ni_queue_bytes:
+        now = self.sim.now
+        if (iobus.queue._free_at - now) * iobus.bytes_per_cycle > a.ni_queue_bytes:
             # Back-pressure: outgoing queue full -> interrupt main CPU,
             # wait, then look again.
             self.overflow_interrupts += 1
@@ -177,21 +192,88 @@ class NetworkInterface:
         if self.faults is not None:
             # degraded link: serialization runs at a fraction of nominal
             link_bpc *= self.faults.link_factor(self.node_id, msg.dst_node)
-        stages = (
-            self.membus.transfer_latency(wire, "ni_out"),
-            iobus.dma_latency(wire),
-            int(wire / link_bpc),  # link serialization
-            peer.iobus.dma_latency(wire),
-            peer.membus.transfer_latency(wire, "ni_in"),
-        )
+
+        # sender memory bus
+        bus = self.membus
+        bus.transfer_count += 1
+        bus.transfer_bytes += wire
+        if bus.metrics is not None:
+            bus.meter("ni_out", wire)
+        bpc = bus.bandwidth() if bus._bg_rate else bus._bpc
+        service = int(-(-(bus._arb["ni_out"] + wire / bpc) // 1))
+        q = bus.queue
+        start = q._free_at if q._free_at > now else now
+        q._free_at = start + service
+        q.busy_cycles += service
+        q.requests += 1
+        slowest = total = q._free_at - now
+        # I/O buses (an empty DMA skips the bus, as dma_latency(0) does)
+        # around the link
+        stage = 0
+        if wire:
+            if iobus.metrics is not None:
+                iobus.meter(wire)
+            q = iobus.queue
+            service = int(-(-(wire / iobus.bytes_per_cycle) // 1))
+            start = q._free_at if q._free_at > now else now
+            q._free_at = start + service
+            q.busy_cycles += service
+            q.requests += 1
+            stage = q._free_at - now
+        total += stage
+        if stage > slowest:
+            slowest = stage
+        stage = int(wire / link_bpc)  # link serialization
+        total += stage
+        if stage > slowest:
+            slowest = stage
+        stage = 0
+        if wire:
+            rx_iobus = peer.iobus
+            if rx_iobus.metrics is not None:
+                rx_iobus.meter(wire)
+            q = rx_iobus.queue
+            service = int(-(-(wire / rx_iobus.bytes_per_cycle) // 1))
+            start = q._free_at if q._free_at > now else now
+            q._free_at = start + service
+            q.busy_cycles += service
+            q.requests += 1
+            stage = q._free_at - now
+        total += stage
+        if stage > slowest:
+            slowest = stage
+        # receiver memory bus
+        bus = peer.membus
+        bus.transfer_count += 1
+        bus.transfer_bytes += wire
+        if bus.metrics is not None:
+            bus.meter("ni_in", wire)
+        bpc = bus.bandwidth() if bus._bg_rate else bus._bpc
+        service = int(-(-(bus._arb["ni_in"] + wire / bpc) // 1))
+        q = bus.queue
+        start = q._free_at if q._free_at > now else now
+        q._free_at = start + service
+        q.busy_cycles += service
+        q.requests += 1
+        stage = q._free_at - now
+        total += stage
+        if stage > slowest:
+            slowest = stage
         occupancy = self.comm.ni_occupancy
         if occupancy:
-            stages += (
-                self.core.latency(packets * occupancy),
-                peer.core.latency(packets * occupancy),
-            )
+            # NI cores: per-packet occupancy, sender then receiver
+            service = int(-(-(packets * occupancy) // 1))
+            for q in (self.core, peer.core):
+                start = q._free_at if q._free_at > now else now
+                q._free_at = start + service
+                q.busy_cycles += service
+                q.requests += 1
+                stage = q._free_at - now
+                total += stage
+                if stage > slowest:
+                    slowest = stage
         # ablation: store-and-forward pays every stage in sequence
-        delay = max(stages) if a.model_cut_through else sum(stages)
+        delay = slowest if a.model_cut_through else total
         self.sim.schedule(delay, self._tx_complete, msg, packets, wire)
 
     def _tx_complete(self, msg: Message, packets: int, wire: int) -> None:

@@ -10,17 +10,27 @@ matches Section 3:
   therefore costs twice the per-side value;
 * issue time is pure latency; delivery time runs *on the victim CPU*, so
   it both delays the handler and steals cycles from the application
-  thread (via :meth:`repro.arch.processor.Processor.run_handler`);
+  thread (the handler bracket of
+  :class:`repro.arch.processor.HandlerRun`);
 * delivery target: the paper's base protocol delivers all interrupts to
   processor 0 of each node (``fixed``); a ``round_robin`` scheme is also
   studied (Section 5) and is selectable via
   :attr:`repro.arch.params.CommParams.interrupt_scheme`.
+
+An interrupt is a chain of scheduled callbacks, not a process: a slot at
+the raise time, the issue delay (skipped when the cost is zero), the
+victim CPU's handler lock, the delivery delay, then the handler body,
+stepped by its :class:`~repro.arch.processor.HandlerRun`.  Each link
+takes the calendar slot a handler process's resumption would, so event
+counts and simulated times are those of a process yielding the same
+delays.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List
+from typing import TYPE_CHECKING, List, Optional
 
+from repro.arch.processor import HandlerRun
 from repro.sim.primitives import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,32 +71,46 @@ class InterruptController:
     def raise_interrupt(self, body, name: str = "irq") -> Event:
         """Raise an interrupt whose handler runs ``body`` on the victim CPU.
 
-        ``body`` is either a generator, or a callable ``factory(cpu)``
-        returning one — protocol handlers use the factory form to learn
-        which CPU they were delivered to (for reply accounting).
+        ``body`` is an iterator (usually a generator), or a callable
+        ``factory(cpu)`` returning one — protocol handlers use the
+        factory form to learn which CPU they were delivered to (for
+        reply accounting).
 
         Returns an event that succeeds (with the body's return value) when
-        the handler completes.
+        the handler completes.  Callers that ignore it use
+        :meth:`post_interrupt`, which skips allocating it.
         """
+        done = Event(self.sim, name=f"{name}.done")
+        self._deliver(body, name, done)
+        return done
+
+    def post_interrupt(self, body, name: str = "irq") -> None:
+        """Raise an interrupt without a completion event."""
+        self._deliver(body, name, None)
+
+    def _deliver(self, body, name: str, done: Optional[Event]) -> None:
         self.interrupts_raised += 1
         cpu = self.target_cpu()
         cpu.stats.count("interrupts")
         if callable(body):
             body = body(cpu)
-        done = Event(self.sim, name=f"{name}.done")
-        self.sim.spawn(self._dispatch(cpu, body, done), name=name)
-        return done
-
-    def _dispatch(self, cpu: "Processor", body: Iterator, done: Event):
         cost = self._cost
-        if cost:
-            # Issue side: latency only (NI/IPI traversal), no CPU stolen.
-            yield cost
         # Delivery side: kernel entry/context switch on the victim CPU.
-        result = yield from cpu.run_handler(body, cost)
-        done.succeed(result)
+        handler = HandlerRun(cpu, body, name, cost, done)
+        sim = self.sim
+        if cost:
+            # Issue side: latency only (NI/IPI traversal), no CPU stolen;
+            # counted from a slot at the raise time.
+            sim.schedule_now(sim.schedule, cost, handler.start)
+        else:
+            sim.schedule_now(handler.start)
 
     def null_interrupt(self, name: str = "null_irq") -> Event:
         """An interrupt with an empty handler (queue-overflow signal,
         measurement probe).  Costs the full null-interrupt time."""
         return self.raise_interrupt(iter(()), name=name)
+
+    def post_null_interrupt(self) -> None:
+        """:meth:`null_interrupt` without a completion event (the NI's
+        queue-overflow hook)."""
+        self.post_interrupt(iter(()), name="null_irq")

@@ -114,14 +114,14 @@ class HLRCProtocol:
         """Wire every node's NI request hook to this engine's dispatch."""
         for node in self.ctx.nodes:
             node.nic.on_request = self._make_on_request(node)
-            node.nic.on_queue_overflow = node.irq.null_interrupt
+            node.nic.on_queue_overflow = node.irq.post_null_interrupt
 
     def _make_on_request(self, node):
         dispatch = getattr(node, "dispatch_request", None)
         if dispatch is None:
             # bare test nodes: fall back to plain interrupt delivery
             def on_request(msg: "Message") -> None:
-                node.irq.raise_interrupt(
+                node.irq.post_interrupt(
                     lambda cpu: self._dispatch(cpu, msg), name=f"irq.{msg.tag}"
                 )
 

@@ -273,10 +273,8 @@ class Simulator:
                 i = 0
                 n = len(batch)
                 while i < n:
-                    fn = batch[i]
-                    args = batch[i + 1]
-                    i += 2
-                    self._pending -= 1
+                    # Both guards raise *before* consuming the event, so a
+                    # resumed run dispatches it (and each other) once.
                     if livelock_limit is not None:
                         if t > self.now:
                             stalled = 0
@@ -290,13 +288,17 @@ class Simulator:
                                     f"{self._live_process_names() or '(none)'}",
                                     blocked=self._live_process_names(),
                                 )
-                    self.now = t
-                    self._dispatched += 1
                     if (
                         max_events is not None
-                        and self._dispatched - dispatched_before > max_events
+                        and self._dispatched - dispatched_before >= max_events
                     ):
                         raise SimulationError(f"exceeded max_events={max_events}")
+                    fn = batch[i]
+                    args = batch[i + 1]
+                    i += 2
+                    self._pending -= 1
+                    self.now = t
+                    self._dispatched += 1
                     if trace.enabled:
                         trace.record(t, "dispatch", getattr(fn, "__qualname__", repr(fn)))
                     fn(*args)
@@ -306,9 +308,10 @@ class Simulator:
         finally:
             self._running = False
             if i < n:
-                # stopped mid-batch (max_events / livelock / callback
-                # error): restore the undispatched remainder ahead of any
-                # same-cycle events the batch scheduled.
+                # stopped mid-batch (max_events / livelock before the
+                # event at ``i``, or a callback error after it): restore
+                # the undispatched remainder ahead of any same-cycle
+                # events the batch scheduled.
                 rest = batch[i:]
                 cur = buckets.get(t)
                 if cur is None:

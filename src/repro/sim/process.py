@@ -33,7 +33,9 @@ _RESUME_ARGS = (None,)
 class ProcessCrash(RuntimeError):
     """An unhandled exception escaped a simulation process."""
 
-    def __init__(self, process: "Process", exc: BaseException) -> None:
+    def __init__(self, process: Any, exc: BaseException) -> None:
+        # ``process`` is the Process, or the callback-driven handler
+        # (repro.arch.processor.HandlerRun), whose generator raised
         super().__init__(f"process {process.name!r} crashed: {exc!r}")
         self.process = process
         self.exc = exc

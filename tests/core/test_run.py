@@ -111,9 +111,9 @@ def test_best_config_beats_achievable():
     assert best.speedup > achievable.speedup
 
 
-def test_ni_sends_spawn_no_process(monkeypatch):
-    """The only processes are the application threads and one per
-    interrupt: NI sends run as scheduled callbacks, and that changes
+def test_only_application_threads_spawn_processes(monkeypatch):
+    """The only processes are the application threads: NI sends and
+    interrupt handlers run as scheduled callbacks, and that changes
     neither the event count nor the traffic."""
     from repro.sim.process import Process
 
@@ -131,6 +131,8 @@ def test_ni_sends_spawn_no_process(monkeypatch):
         config,
     )
     assert result.meta["network_messages"] == 1670  # every one was an NI send
-    assert len(spawned) == config.total_procs + result.meta["interrupts"]
-    # pinned: how NI sends are dispatched must not change the event count
+    assert result.meta["interrupts"] == 784
+    assert len(spawned) == config.total_procs
+    # pinned: how sends and interrupts are dispatched must not change
+    # the event count
     assert result.meta["sim_events"] == 13713

@@ -95,6 +95,39 @@ def test_max_events_guard():
         sim.run(max_events=100)
 
 
+def test_max_events_guard_keeps_the_event_it_stops_at():
+    sim = Simulator()
+    seen = []
+    for k in range(5):
+        sim.schedule(10, seen.append, k)
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=2)
+    assert seen == [0, 1]
+    assert sim.dispatched == 2
+    sim.run()
+    # the resumed run dispatches every remaining event exactly once
+    assert seen == [0, 1, 2, 3, 4]
+    assert sim.dispatched == 5
+    assert sim.pending == 0
+
+
+def test_livelock_guard_keeps_the_event_it_stops_at():
+    from repro.sim.engine import SimulationStuckError, Watchdog
+
+    sim = Simulator(watchdog=Watchdog(deadlock=True, livelock_events=2))
+    seen = []
+    for k in range(5):
+        sim.schedule(10, seen.append, k)
+    with pytest.raises(SimulationStuckError, match="livelock"):
+        sim.run()
+    # the first event advances time; two more are allowed at t=10
+    assert seen == [0, 1, 2]
+    assert sim.dispatched == 3
+    sim.run()
+    assert seen == [0, 1, 2, 3, 4]
+    assert sim.dispatched == 5
+
+
 def test_fractional_delay_rounds_up():
     sim = Simulator()
     seen = []
