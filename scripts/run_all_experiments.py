@@ -34,7 +34,6 @@ from repro.core.checkpoint import SweepCheckpoint, SweepInterrupted
 from repro.core.executor import (
     resolve_jobs,
     set_default_checkpoint,
-    set_default_fidelity,
     set_default_jobs,
 )
 from repro.core.store import ingest_artifact_quietly
@@ -209,15 +208,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="skip drivers journaled complete by a previous (interrupted) "
         "regeneration at this scale; finished points replay from the run cache",
     )
-    parser.add_argument(
-        "--fidelity",
-        choices=("des", "analytic", "auto"),
-        default=None,
-        help="serving model for every grid point: 'des' (reference "
-        "simulator, default), 'analytic' (closed-form fast model), or "
-        "'auto' (DES-calibrated fast model with recorded error bounds; "
-        "see repro.core.fidelity)",
-    )
     args = parser.parse_args(argv)
     if args.scale is None and args.legacy:
         args.scale = float(args.legacy[0])
@@ -233,8 +223,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> None:
     args = parse_args(argv)
     jobs = resolve_jobs(args.jobs)
-    if args.fidelity is not None:
-        set_default_fidelity(args.fidelity)
     t0 = time.time()
     try:
         run_all(

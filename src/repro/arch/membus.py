@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.sim.resources import FluidQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,34 +107,6 @@ class MemoryBus:
         metrics.bump(f"{self.name}.{kind}.transfers")
         metrics.bump(f"{self.name}.{kind}.bytes", nbytes)
         metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
-
-    def transfer_latency_batch(self, nbytes, kind: str = "mem"):
-        """Vectorized :meth:`transfer_latency` for a same-cycle batch.
-
-        Equivalent to calling :meth:`transfer_latency` element-by-element
-        (identical service arithmetic and backlog accumulation); returns
-        an int64 array of per-transfer latencies.  Used by the analytic
-        fast model to price whole epochs of bus traffic at once.
-        """
-        try:
-            arb = self._arb[kind]
-        except KeyError:
-            raise ValueError(
-                f"unknown bus class {kind!r}; one of {BUS_CLASSES}"
-            ) from None
-        sizes = np.asarray(nbytes, dtype=np.float64)
-        if sizes.size and sizes.min() < 0:
-            raise ValueError("negative transfer size")
-        services = arb + sizes / self.bandwidth()
-        self.transfer_count += sizes.size
-        total = int(sizes.sum())
-        self.transfer_bytes += total
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.bump(f"{self.name}.{kind}.transfers", sizes.size)
-            metrics.bump(f"{self.name}.{kind}.bytes", total)
-            metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
-        return self.queue.latency_batch(services)
 
     # ------------------------------------------------------------------ #
     # background (compute-block) load

@@ -174,11 +174,6 @@ class ArchParams:
                 f"wb_entries ({self.wb_entries})"
             )
 
-    @property
-    def page_copy_cycles(self) -> int:  # pragma: no cover - convenience
-        """Deprecated convenience; prefer explicit page-size math."""
-        return self.twin_copy_cycles_per_word
-
     def cycles_per_us(self) -> float:
         """Processor cycles per microsecond (200 at 200 MHz)."""
         return self.cpu_mhz

@@ -108,7 +108,6 @@ PointLike = Union[Point, Tuple[str, float, ClusterConfig]]
 
 _default_jobs: Optional[int] = None
 _default_checkpoint: Optional[SweepCheckpoint] = None
-_default_fidelity: Optional[str] = None
 
 #: set by the SIGINT/SIGTERM handler installed around checkpointed grids
 _shutdown_event = threading.Event()
@@ -197,43 +196,6 @@ def set_default_checkpoint(checkpoint: Optional[SweepCheckpoint]) -> None:
 
 def default_checkpoint() -> Optional[SweepCheckpoint]:
     return _default_checkpoint
-
-
-def set_default_fidelity(fidelity: Optional[str]) -> None:
-    """Set the process-wide default fidelity level.
-
-    ``None`` resets to ``"des"``.  The CLI's ``--fidelity`` flag uses
-    this so the ~20 experiment drivers pick the level up without
-    per-driver plumbing (mirrors :func:`set_default_jobs`).
-    """
-    global _default_fidelity
-    if fidelity is not None:
-        from repro.core.fidelity import FIDELITY_LEVELS
-
-        if fidelity not in FIDELITY_LEVELS:
-            raise ValueError(
-                f"unknown fidelity {fidelity!r} (valid: {FIDELITY_LEVELS})"
-            )
-    _default_fidelity = fidelity
-
-
-def resolve_fidelity(fidelity: Optional[str] = None) -> str:
-    """Resolve the effective fidelity level (arg, process default, then
-    the ``REPRO_FIDELITY`` environment variable; ``"des"`` otherwise)."""
-    from repro.core.fidelity import FIDELITY_LEVELS
-
-    if fidelity is not None:
-        if fidelity not in FIDELITY_LEVELS:
-            raise ValueError(
-                f"unknown fidelity {fidelity!r} (valid: {FIDELITY_LEVELS})"
-            )
-        return fidelity
-    if _default_fidelity is not None:
-        return _default_fidelity
-    env = os.environ.get("REPRO_FIDELITY", "").strip().lower()
-    if env in FIDELITY_LEVELS:
-        return env
-    return "des"
 
 
 _annotate_resume = False
@@ -518,7 +480,6 @@ def run_points(
     checkpoint: Union[SweepCheckpoint, str, None] = None,
     deadline_s: Optional[float] = None,
     rss_mb: Optional[float] = None,
-    fidelity: Optional[str] = None,
 ) -> List[Union[RunResult, PointFailure]]:
     """Run (or fetch) every point, in parallel, preserving input order.
 
@@ -538,32 +499,10 @@ def run_points(
     :class:`SweepInterrupted` instead of ``KeyboardInterrupt`` (see the
     module docstring).  ``deadline_s``/``rss_mb`` arm the per-point
     resource guards.
-
-    ``fidelity`` selects the serving model (see
-    :mod:`repro.core.fidelity`): ``"des"`` (default) simulates every
-    point; ``"analytic"`` serves the closed-form fast model;
-    ``"auto"`` runs a DES calibration subset and serves the rest from
-    the calibrated fast model with recorded error bounds.
     """
     from repro.core import runcache, sweeps
 
     ordered: List[Point] = [Point(*p) for p in points]
-    level = resolve_fidelity(fidelity)
-    if level != "des":
-        from repro.core.fidelity import run_points_fast
-
-        fast = run_points_fast(
-            ordered,
-            level,
-            jobs=jobs,
-            retries=retries,
-            strict=strict,
-            checkpoint=checkpoint,
-            deadline_s=deadline_s,
-            rss_mb=rss_mb,
-        )
-        _ingest_outcomes(ordered, fast, checkpoint, level)
-        return fast
     unique: List[Point] = []
     seen: Set[Point] = set()
     for p in ordered:
@@ -693,7 +632,10 @@ def run_points(
     # ingest too (idempotent per content key) so migrated/old caches
     # backfill; failures never block the grid (best-effort by contract).
     _ingest_outcomes(
-        unique, [resolved[p] for p in unique], cp, "des", keys=keys or None
+        unique,
+        [resolved[p] for p in unique],
+        sweep=cp.name if cp is not None else None,
+        keys=keys,
     )
 
     failures = [r for r in resolved.values() if isinstance(r, PointFailure)]
@@ -704,37 +646,27 @@ def run_points(
 
 def _ingest_outcomes(
     points: Sequence[Point],
-    outcomes: Sequence[Union[RunResult, PointFailure, None]],
-    checkpoint: Union[SweepCheckpoint, str, None],
-    fidelity: str,
-    keys: Optional[Dict[Point, str]] = None,
+    outcomes: Sequence[Union[RunResult, PointFailure]],
+    sweep: Optional[str],
+    keys: Dict[Point, str],
 ) -> None:
     """Append a grid's successful outcomes to the result store.
 
-    ``keys`` reuses content hashes the checkpoint path already computed;
-    anything missing is hashed here.  Deduplicates points so a grid with
-    repeated entries ingests each result once.
+    ``points`` are distinct.  ``keys`` reuses content hashes the
+    checkpoint path already computed; anything missing is hashed here.
     """
     from repro.core import runcache
     from repro.core.store import ingest_quietly, result_store
 
     if result_store() is None:
         return
-    cp = _resolve_checkpoint(checkpoint)
     entries = []
-    seen: Set[str] = set()
     for p, out in zip(points, outcomes):
-        if not isinstance(out, RunResult):
-            continue
-        key = (keys or {}).get(p) or runcache.content_key(p.app, p.scale, p.config)
-        if key in seen:
-            continue
-        seen.add(key)
-        entries.append((key, out, p.scale))
+        if isinstance(out, RunResult):
+            key = keys.get(p) or runcache.content_key(p.app, p.scale, p.config)
+            entries.append((key, out, p.scale))
     if entries:
-        ingest_quietly(
-            entries, sweep=cp.name if cp is not None else None, fidelity=fidelity
-        )
+        ingest_quietly(entries, sweep=sweep)
 
 
 def _map_parallel(

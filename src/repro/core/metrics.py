@@ -191,10 +191,6 @@ class RunResult:
         mcycles = max(1e-9, self.mean_compute_cycles / 1e6)
         return total / self.n_procs / mcycles
 
-    def cluster_rate_per_mcycle(self, value: float) -> float:
-        mcycles = max(1e-9, self.mean_compute_cycles / 1e6)
-        return value / self.n_procs / mcycles
-
     @property
     def messages_per_proc_per_mcycle(self) -> float:
         return self.per_proc_per_mcycle("messages_sent")

@@ -37,9 +37,6 @@ def clear_caches(disk: bool = False) -> None:
     """
     _RUN_CACHE.clear()
     _TRACE_CACHE.clear()
-    from repro.core import fidelity as _fidelity
-
-    _fidelity.clear_caches()
     if disk:
         cache = runcache.disk_cache()
         if cache is not None:
@@ -117,21 +114,17 @@ def sweep_comm_param(
     scale: float = 1.0,
     jobs: Optional[int] = None,
     checkpoint=None,
-    fidelity: Optional[str] = None,
 ) -> List[RunResult]:
     """Vary one CommParams field over ``values`` (all else achievable).
 
     ``checkpoint`` (a sweep name or :class:`~repro.core.checkpoint.
     SweepCheckpoint`) journals each point for crash-safe resume.
-    ``fidelity`` selects the serving model (see
-    :mod:`repro.core.fidelity`); sweeps are where ``"auto"`` shines —
-    the calibration endpoints bracket the swept parameter.
     """
     from repro.core.executor import run_points
 
     base = base if base is not None else ClusterConfig()
     points = [(app_name, scale, base.with_comm(**{param: v})) for v in values]
-    return run_points(points, jobs=jobs, checkpoint=checkpoint, fidelity=fidelity)
+    return run_points(points, jobs=jobs, checkpoint=checkpoint)
 
 
 def run_apps(
@@ -140,7 +133,6 @@ def run_apps(
     scale: float = 1.0,
     jobs: Optional[int] = None,
     checkpoint=None,
-    fidelity: Optional[str] = None,
 ) -> Dict[str, RunResult]:
     """One run per application under ``config``."""
     from repro.core.executor import run_points
@@ -151,7 +143,6 @@ def run_apps(
         [(name, scale, config) for name in names],
         jobs=jobs,
         checkpoint=checkpoint,
-        fidelity=fidelity,
     )
     return dict(zip(names, results))
 

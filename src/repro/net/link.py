@@ -13,7 +13,7 @@ latency, with no queueing against other messages.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.message import Message
@@ -103,7 +103,3 @@ class Network:
             raise ValueError(f"no NI attached for node {msg.dst_node}") from None
         self._count(msg, wire_bytes)
         self.sim.schedule(self.transit_cycles(wire_bytes), receiver, msg, wire_bytes)
-
-    @property
-    def attached_nodes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._receivers))

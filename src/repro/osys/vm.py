@@ -65,9 +65,6 @@ class PageDirectory:
             raise ValueError("negative address")
         return addr // self.page_size
 
-    def pages_of_range(self, addr: int, nbytes: int) -> Tuple[int, ...]:
-        return pages_in_range(addr, nbytes, self.page_size)
-
     # ------------------------------------------------------------------ #
     def home(self, page: int, toucher_node: Optional[int] = None) -> int:
         """Home node of ``page``, assigning it if not yet assigned.

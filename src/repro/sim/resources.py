@@ -21,8 +21,6 @@ import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sim.primitives import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -215,47 +213,11 @@ class FluidQueue:
         self.requests += 1
         return self._free_at - now
 
-    def latency_batch(self, services) -> np.ndarray:
-        """Vectorized :meth:`latency` over a same-cycle batch of requests.
-
-        Exactly equivalent to calling :meth:`latency` once per element in
-        order (same ceil, same backlog accumulation); returns the per-
-        request sojourn times as an int64 array.  Once the first request
-        is enqueued the server stays backlogged for the rest of the
-        batch, so the sojourns are a prefix sum of the service times
-        offset by any pre-existing backlog.
-        """
-        svc = np.asarray(services)
-        if svc.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if svc.min() < 0:
-            raise ValueError("negative service time in batch")
-        if svc.dtype.kind in "iu":
-            svc = svc.astype(np.int64, copy=False)
-        else:
-            svc = np.ceil(svc).astype(np.int64)
-        now = self.sim.now
-        backlog = self._free_at - now
-        if backlog < 0:
-            backlog = 0
-        sojourns = np.cumsum(svc) + backlog
-        self._free_at = now + int(sojourns[-1])
-        self.busy_cycles += int(svc.sum())
-        self.requests += svc.size
-        return sojourns
-
     def transfer(self, nbytes: int) -> int:
         """Enqueue a transfer of ``nbytes``; return its sojourn time."""
         if self.bytes_per_cycle is None:
             raise RuntimeError(f"fluid queue {self.name!r} has no bandwidth set")
         return self.latency(nbytes / self.bytes_per_cycle)
-
-    def transfer_batch(self, nbytes) -> np.ndarray:
-        """Vectorized :meth:`transfer` over a same-cycle batch of sizes."""
-        if self.bytes_per_cycle is None:
-            raise RuntimeError(f"fluid queue {self.name!r} has no bandwidth set")
-        sizes = np.asarray(nbytes, dtype=np.float64)
-        return self.latency_batch(sizes / self.bytes_per_cycle)
 
     def service_cycles(self, nbytes: int) -> int:
         """Pure service time for ``nbytes`` (no queueing, no state change)."""

@@ -6,6 +6,8 @@ harness and EXPERIMENTS.md)."""
 
 import pytest
 
+from repro.arch.params import HOST_OVERHEAD_SWEEP, NI_OCCUPANCY_SWEEP
+from repro.core.sweeps import sweep_comm_param
 from repro.experiments import (
     correlations,
     figure01_speedups,
@@ -74,6 +76,24 @@ def test_figure06_occupancy_smallest_effect():
     occ_slow = (occ_s[0] - occ_s[-1]) / occ_s[0]
     intr_slow = (intr_s[0] - intr_s[-1]) / intr_s[0]
     assert occ_slow < intr_slow
+
+
+@pytest.mark.parametrize(
+    "app,param,values",
+    [
+        ("fft", "host_overhead", HOST_OVERHEAD_SWEEP),
+        ("radix", "ni_occupancy", NI_OCCUPANCY_SWEEP),
+    ],
+    ids=["fft-host_overhead", "radix-ni_occupancy"],
+)
+def test_overhead_sweep_preserves_paper_trend(app, param, values):
+    """Speedup falls as the swept overhead grows (paper Figures 5/6
+    shape): each point at most 2% above its predecessor, and the most
+    expensive setting strictly below the cheapest."""
+    speedups = [r.speedup for r in sweep_comm_param(app, param, values, scale=0.05)]
+    for earlier, later in zip(speedups, speedups[1:]):
+        assert later <= earlier * 1.02, f"{app}/{param}: {speedups} not monotone"
+    assert speedups[-1] < speedups[0]
 
 
 def test_figure07_bandwidth_hurts_radix_more_than_watersp():
