@@ -8,34 +8,26 @@ Used to produce the numbers recorded in EXPERIMENTS.md::
 ``--jobs N`` fans each driver's simulation grid over N worker processes
 (0 = one per core); repeated points — e.g. the achievable baseline that
 almost every driver needs — are simulated once and then served from the
-persistent disk cache (``results/.runcache/``), so a re-run after an
-interrupted regeneration, or a second regeneration at the same scale, is
-mostly cache hits.  The legacy positional form
-``run_all_experiments.py 1.0 results/`` still works.
+persistent disk cache (``results/.runcache/``), so a second
+regeneration at the same scale is mostly cache hits.  The legacy
+positional form ``run_all_experiments.py 1.0 results/`` still works.
 
-The whole regeneration is **checkpointed**: every completed simulation
-point is journaled under ``results/.checkpoints/run-all-s<scale>/`` and
-every completed driver is recorded once its output files are written.
-SIGINT/SIGTERM drain in-flight points, flush the journal and cache, and
-print the one-line resume command; a SIGKILL costs at most the points in
-flight.  ``--resume`` skips drivers that already completed and replays
-the interrupted driver's finished points from the run cache, producing
-output bit-identical to an uninterrupted run.
+SIGINT/SIGTERM stop the regeneration with exit code 130 and a one-line
+hint: rerun the same command.  Every finished simulation point is
+already in the run cache, so the rerun simulates only what was missing
+and writes output bit-identical to an uninterrupted run.
 """
 
 import argparse
 import json
 import pathlib
+import shlex
+import signal
 import sys
 import time
 
-from repro.cli import _jobs_type
-from repro.core.checkpoint import SweepCheckpoint, SweepInterrupted
-from repro.core.executor import (
-    resolve_jobs,
-    set_default_checkpoint,
-    set_default_jobs,
-)
+from repro.cli import _jobs_type, _scale_type
+from repro.core.executor import resolve_jobs, set_default_jobs
 from repro.core.store import ingest_artifact_quietly
 from repro.experiments import (
     ablations,
@@ -97,72 +89,29 @@ DRIVERS = [
 ]
 
 
-def resume_hint(scale: float, out_dir: pathlib.Path, jobs=None) -> str:
-    """The one-line command that continues an interrupted regeneration."""
-    hint = f"python scripts/run_all_experiments.py --scale {scale:g} --out {out_dir}"
-    if jobs is not None:
-        hint += f" --jobs {jobs}"
-    return hint + " --resume"
-
-
-def run_all(
-    scale: float,
-    out_dir: pathlib.Path,
-    jobs=None,
-    quiet: bool = False,
-    resume: bool = False,
-):
+def run_all(scale: float, out_dir: pathlib.Path, jobs=None, quiet: bool = False):
     """Run every driver; returns ``{driver_name: seconds}`` wall-clock timings.
 
     ``jobs`` (when given) becomes the process-wide default worker count,
-    so every driver's grid fans out without per-driver plumbing.  Each
-    driver runs under a sweep checkpoint (see the module docstring);
-    ``resume=True`` skips drivers whose completion is journaled and whose
-    output files are still present.
+    so every driver's grid fans out without per-driver plumbing.
     """
     if jobs is not None:
         set_default_jobs(jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    hint = resume_hint(scale, out_dir, jobs)
-    parent_name = f"run-all-s{scale:g}"
-    parent = SweepCheckpoint(parent_name).open(meta={"resume_cmd": hint})
-    done_before = parent.completed_keys() if resume else set()
     combined = {}
     timings = {}
     t_start = time.time()
 
     for name, driver in DRIVERS:
-        txt_path = out_dir / f"{name}.txt"
-        json_path = out_dir / f"{name}.json"
-        if (
-            f"driver:{name}" in done_before
-            and txt_path.is_file()
-            and json_path.is_file()
-        ):
-            # Finished by a previous run: fold its output in unchanged.
-            timings[name] = 0.0
-            combined[name] = txt_path.read_text().rstrip("\n")
-            if not quiet:
-                print(
-                    f"[{time.time() - t_start:7.1f}s] {name:<22} "
-                    "already complete (resumed)",
-                    flush=True,
-                )
-            continue
         t0 = time.time()
-        # Point-level journal for this driver: a kill mid-driver resumes
-        # from the last completed simulation point, not the last driver.
-        cp = SweepCheckpoint(f"{parent_name}/{name}").open(meta={"resume_cmd": hint})
-        set_default_checkpoint(cp)
-        try:
-            out = driver(scale)
-        finally:
-            set_default_checkpoint(None)
+        out = driver(scale)
         dt = time.time() - t0
         timings[name] = dt
         text = out.table_str()
-        txt_path.write_text(text + "\n")
-        json_path.write_text(json.dumps(out.data, indent=2, default=str) + "\n")
+        (out_dir / f"{name}.txt").write_text(text + "\n")
+        (out_dir / f"{name}.json").write_text(
+            json.dumps(out.data, indent=2, default=str) + "\n"
+        )
         # The files are an export format; the columnar store is the
         # durable history (`python -m repro report <name>` re-renders
         # this exact table without re-simulating).
@@ -171,7 +120,6 @@ def run_all(
             source="run_all",
         )
         combined[name] = text
-        parent.record(f"driver:{name}", "done")
         if not quiet:
             print(
                 f"[{time.time() - t_start:7.1f}s] {name:<22} done in {dt:6.1f}s",
@@ -180,7 +128,6 @@ def run_all(
     (out_dir / "ALL.txt").write_text(
         "\n\n\n".join(combined[name] for name, _ in DRIVERS) + "\n"
     )
-    parent.finalize("complete")
     return timings
 
 
@@ -193,7 +140,9 @@ def parse_args(argv=None) -> argparse.Namespace:
         metavar="SCALE [OUT_DIR]",
         help="legacy positional form: scale followed by output directory",
     )
-    parser.add_argument("--scale", type=float, default=None, help="problem-size multiplier")
+    parser.add_argument(
+        "--scale", type=_scale_type, default=None, help="problem-size multiplier"
+    )
     parser.add_argument("--out", type=pathlib.Path, default=None, help="output directory")
     parser.add_argument(
         "--jobs",
@@ -202,15 +151,19 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="worker processes per simulation grid (default: REPRO_JOBS or 1; "
         "0 = all cores)",
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip drivers journaled complete by a previous (interrupted) "
-        "regeneration at this scale; finished points replay from the run cache",
-    )
     args = parser.parse_args(argv)
-    if args.scale is None and args.legacy:
-        args.scale = float(args.legacy[0])
+    if len(args.legacy) > 2:
+        parser.error(
+            f"too many positional arguments {args.legacy[2:]}: "
+            "expected SCALE [OUT_DIR]"
+        )
+    if args.legacy:
+        try:
+            legacy_scale = _scale_type(args.legacy[0])
+        except argparse.ArgumentTypeError as exc:
+            parser.error(str(exc))
+        if args.scale is None:
+            args.scale = legacy_scale
     if args.out is None and len(args.legacy) > 1:
         args.out = pathlib.Path(args.legacy[1])
     if args.scale is None:
@@ -221,29 +174,23 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> None:
+    argv = list(argv) if argv is not None else sys.argv[1:]
     args = parse_args(argv)
     jobs = resolve_jobs(args.jobs)
     t0 = time.time()
+    # SIGTERM interrupts like Ctrl-C; restored on return.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        run_all(
-            args.scale,
-            args.out,
-            jobs=jobs,
-            resume=args.resume,
-        )
-    except SweepInterrupted as exc:
-        print(
-            f"\ninterrupted — completed points are journaled; "
-            f"resume with: {exc.hint}",
-            file=sys.stderr,
-        )
-        raise SystemExit(130)
+        run_all(args.scale, args.out, jobs=jobs)
     except KeyboardInterrupt:
         print(
-            f"\ninterrupted — resume with: {resume_hint(args.scale, args.out, jobs)}",
+            "interrupted — finished points are cached; rerun: "
+            f"python scripts/run_all_experiments.py {shlex.join(argv)}",
             file=sys.stderr,
         )
         raise SystemExit(130)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(
         f"all experiments written to {args.out}/ "
         f"({time.time() - t0:.1f}s, jobs={jobs})"

@@ -15,9 +15,6 @@ Commands
     Sweep one communication parameter for one application.
 ``experiment ID``
     Regenerate one of the paper's tables/figures (or an extension study).
-``resume [SWEEP]``
-    Continue a checkpointed sweep after a crash or Ctrl-C (bare
-    ``resume`` lists every checkpoint with its progress).
 ``cache {stats,verify,clear}``
     Inspect, integrity-audit, or purge the persistent run cache
     (``results/.runcache/``).
@@ -30,17 +27,18 @@ Commands
     trends (``report trend``), or export tables (``report export``).
 
 ``sweep`` and ``experiment`` accept ``--jobs N`` to fan independent
-simulation points across a process pool (0 = all cores) and
-``--checkpoint [NAME]`` to journal completed points under
-``results/.checkpoints/<NAME>/`` — a checkpointed run killed at any
-instant resumes with ``python -m repro resume NAME`` and produces
-bit-identical results; SIGINT/SIGTERM drain in-flight points and print
-that resume hint instead of a traceback.
+simulation points across a process pool (0 = all cores).  Every finished
+point lands in the run cache, so SIGINT/SIGTERM stop a command with exit
+code 130 and a one-line hint to rerun it; the rerun serves the finished
+points from the cache and prints bit-identical results.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import shlex
+import signal
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -126,6 +124,19 @@ def _jobs_type(text: str) -> int:
     return jobs
 
 
+def _scale_type(text: str) -> float:
+    """Parse ``--scale``: a positive, finite problem-size multiplier."""
+    try:
+        scale = float(text)
+        if not (scale > 0 and math.isfinite(scale)):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid --scale value {text!r}: expected a positive finite number"
+        ) from None
+    return scale
+
+
 def _probability(text: str) -> float:
     try:
         p = float(text)
@@ -148,50 +159,6 @@ def _add_jobs_option(parser: argparse.ArgumentParser, what: str) -> None:
     )
 
 
-def _add_checkpoint_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checkpoint",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="NAME",
-        help="journal completed points for crash-safe resume "
-        "(`repro resume NAME`); NAME defaults to one derived from the command",
-    )
-
-
-def _run_checkpointed(args: argparse.Namespace, auto_name: str, body):
-    """Run ``body()`` under the sweep checkpoint requested by ``args``.
-
-    Installs the checkpoint process-wide so every ``run_points`` grid the
-    command triggers journals into it, records the original argv so
-    ``repro resume`` can replay the command verbatim, and stamps the
-    final status.  Without ``--checkpoint`` this is just ``body()``.
-    """
-    from repro.core.checkpoint import SweepCheckpoint
-    from repro.core.executor import set_default_checkpoint
-
-    if getattr(args, "checkpoint", None) is None:
-        return body()
-    name = args.checkpoint or auto_name
-    cp = SweepCheckpoint(name)
-    cp.open(
-        meta={
-            "argv": list(getattr(args, "_argv", [])),
-            "resume_cmd": f"python -m repro resume {name}",
-        }
-    )
-    set_default_checkpoint(cp)
-    try:
-        rc = body()
-    except BaseException:
-        set_default_checkpoint(None)
-        raise
-    set_default_checkpoint(None)
-    cp.finalize("complete" if rc == 0 else "failed")
-    return rc
-
-
 def _add_fault_options(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group(
         "fault injection", "wire-level faults + reliable-delivery knobs"
@@ -211,7 +178,9 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_comm_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.5, help="problem-size multiplier")
+    parser.add_argument(
+        "--scale", type=_scale_type, default=0.5, help="problem-size multiplier"
+    )
     parser.add_argument("--protocol", choices=("hlrc", "aurc"), default="hlrc")
     parser.add_argument("--procs-per-node", type=int, default=4)
     parser.add_argument("--page-size", type=int, default=4096)
@@ -469,28 +438,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    base = _config_from(args)
-
-    def body() -> int:
-        from repro.core.executor import default_checkpoint
-
-        results = sweep_comm_param(
-            args.app, args.param, values, base=base, scale=args.scale, jobs=args.jobs
-        )
-        rows = [[v, round(r.speedup, 2)] for v, r in zip(values, results)]
-        print(format_table([args.param, "speedup"], rows, title=f"{args.app} sweep"))
-        cp = default_checkpoint()
-        if cp is not None:
-            print(f"\n{cp.provenance_note()}")
-        return 0
-
-    return _run_checkpointed(
-        args, f"sweep-{args.app}-{args.param}-s{args.scale:g}", body
+    results = sweep_comm_param(
+        args.app,
+        args.param,
+        values,
+        base=_config_from(args),
+        scale=args.scale,
+        jobs=args.jobs,
     )
+    rows = [[v, round(r.speedup, 2)] for v, r in zip(values, results)]
+    print(format_table([args.param, "speedup"], rows, title=f"{args.app} sweep"))
+    return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments.common import attach_checkpoint_note
+    from repro.core.store import ingest_artifact_quietly
 
     registry = _experiment_registry()
     if args.id not in registry:
@@ -500,76 +462,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.apps:
         kwargs["apps"] = args.apps
 
-    def body() -> int:
-        from repro.core.store import ingest_artifact_quietly
-
-        out = attach_checkpoint_note(registry[args.id](**kwargs))
-        print(out.table_str())
-        ingest_artifact_quietly(
-            args.id,
-            out.table_str(),
-            data=out.data,
-            scale=args.scale,
-            title=out.title,
-            source="cli",
-        )
-        return 0
-
-    return _run_checkpointed(args, f"{args.id}-s{args.scale:g}", body)
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    """Continue a checkpointed sweep by replaying its recorded command."""
-    from repro.core.checkpoint import SweepCheckpoint, list_checkpoints
-    from repro.core.executor import set_resume_annotation
-
-    if not args.sweep:
-        sweeps = list_checkpoints()
-        if not sweeps:
-            print("no checkpointed sweeps found")
-            return 0
-        rows = []
-        for cp in sweeps:
-            prog = cp.progress()
-            rows.append([cp.name, prog["done"], prog["failed"], prog["status"]])
-        print(format_table(["sweep", "done", "failed", "status"], rows,
-                           title="Checkpointed sweeps"))
-        print("\nresume one with: python -m repro resume <sweep>")
-        return 0
-
-    try:
-        cp = SweepCheckpoint(args.sweep)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not cp.exists:
-        known = ", ".join(c.name for c in list_checkpoints()) or "none"
-        print(
-            f"error: no checkpoint named {args.sweep!r} (known: {known})",
-            file=sys.stderr,
-        )
-        return 2
-    argv = cp.meta().get("argv")
-    if not isinstance(argv, list) or not argv:
-        print(
-            f"error: checkpoint {args.sweep!r} records no replayable command "
-            "(it was created programmatically; re-run its driver instead)",
-            file=sys.stderr,
-        )
-        return 2
-    argv = [str(a) for a in argv]
-    print(f"resuming sweep '{cp.name}': repro {' '.join(argv)}\n")
-    replay = build_parser().parse_args(argv)
-    replay._argv = argv
-    if hasattr(replay, "checkpoint"):
-        replay.checkpoint = cp.name  # pin, in case the name was auto-derived
-    if args.jobs is not None and hasattr(replay, "jobs"):
-        replay.jobs = args.jobs
-    set_resume_annotation(True)
-    try:
-        return _dispatch(replay)
-    finally:
-        set_resume_annotation(False)
+    out = registry[args.id](**kwargs)
+    print(out.table_str())
+    ingest_artifact_quietly(
+        args.id,
+        out.table_str(),
+        data=out.data,
+        scale=args.scale,
+        title=out.title,
+        source="cli",
+    )
+    return 0
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -916,7 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one communication parameter")
     _add_jobs_option(p_sweep, "sweep")
-    _add_checkpoint_option(p_sweep)
     p_sweep.add_argument("app")
     p_sweep.add_argument(
         "param",
@@ -935,18 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="regenerate a table/figure")
     p_exp.add_argument("id")
-    p_exp.add_argument("--scale", type=float, default=0.5)
+    p_exp.add_argument("--scale", type=_scale_type, default=0.5)
     p_exp.add_argument("--apps", nargs="*", default=None)
     _add_jobs_option(p_exp, "experiment")
-    _add_checkpoint_option(p_exp)
-
-    p_res = sub.add_parser(
-        "resume", help="continue a checkpointed sweep (bare: list checkpoints)"
-    )
-    p_res.add_argument(
-        "sweep", nargs="?", default=None, help="sweep name under results/.checkpoints/"
-    )
-    _add_jobs_option(p_res, "resumed")
 
     p_cache = sub.add_parser(
         "cache", help="inspect, integrity-audit, or purge the persistent run cache"
@@ -1013,7 +906,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "profile": cmd_profile,
         "sweep": cmd_sweep,
         "experiment": cmd_experiment,
-        "resume": cmd_resume,
         "cache": cmd_cache,
         "report": cmd_report,
     }
@@ -1021,11 +913,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.core.checkpoint import SweepInterrupted
-
     argv_list = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv_list)
-    args._argv = argv_list
+    # SIGTERM interrupts like Ctrl-C; the previous handler comes back on
+    # return, since tests call main() in-process.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return _dispatch(args)
     except ValueError as exc:
@@ -1033,17 +925,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         # are user errors, not tracebacks.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SweepInterrupted as exc:
-        # Graceful shutdown: in-flight points were drained and journaled.
+    except KeyboardInterrupt:
         print(
-            f"\ninterrupted: {exc.done}/{exc.total} points journaled — "
-            f"resume with: {exc.hint}",
+            "interrupted — finished points are cached; "
+            f"rerun: python -m repro {shlex.join(argv_list)}",
             file=sys.stderr,
         )
         return 130
-    except KeyboardInterrupt:
-        print("\ninterrupted", file=sys.stderr)
-        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":  # pragma: no cover

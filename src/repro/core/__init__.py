@@ -10,7 +10,6 @@ Typical use::
     print(result.speedup, result.time_breakdown())
 """
 
-from repro.core.checkpoint import SweepCheckpoint, SweepInterrupted
 from repro.core.cluster import Cluster, Node
 from repro.core.config import ClusterConfig
 from repro.core.metrics import RunResult, geometric_mean
@@ -23,8 +22,6 @@ __all__ = [
     "MetricsRegistry",
     "Node",
     "RunResult",
-    "SweepCheckpoint",
-    "SweepInterrupted",
     "geometric_mean",
     "run_simulation",
 ]

@@ -37,18 +37,15 @@ Failed points are retried ``retries`` times (default 1, override with
 ``strict=False`` it returns the ordered results with each failed point's
 slot holding its :class:`PointFailure` so callers can salvage the rest.
 
-Crash safety (checkpoints + graceful shutdown)
-----------------------------------------------
-Pass ``checkpoint=`` (a sweep name or a :class:`~repro.core.checkpoint.
-SweepCheckpoint`) — or install one process-wide with
-:func:`set_default_checkpoint` — and every completed point is journaled
-by its run-cache content key.  While a checkpointed grid is running,
-SIGINT/SIGTERM trigger a *drain*: no new points start, in-flight points
-finish and are journaled, caches are flushed, and
-:class:`~repro.core.checkpoint.SweepInterrupted` is raised carrying a
-one-line resume hint.  A SIGKILL costs at most the points in flight;
-resuming replays the grid against the journal + disk cache and yields
-bit-identical merged results.
+Interrupts
+----------
+An interrupt is an ordinary ``KeyboardInterrupt``.  Every point a grid
+finishes is written to the disk run cache as it completes (by the pool
+worker, or by the serial loop), so nothing needs journaling: under a
+pool, queued points are cancelled and the points already running finish
+and land in the cache before the interrupt propagates.  Rerunning the
+same command serves the finished points from the cache and yields
+bit-identical results; a SIGKILL costs at most the points in flight.
 
 Resource guards
 ---------------
@@ -61,7 +58,6 @@ runaway point degrades a grid instead of wedging it.
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
 import signal
@@ -71,7 +67,6 @@ import traceback as _traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -79,12 +74,10 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
-from repro.core.checkpoint import SweepCheckpoint, SweepInterrupted
 from repro.core.config import ClusterConfig
 from repro.core.metrics import RunResult
 
@@ -92,8 +85,6 @@ try:  # POSIX only; resource guards degrade to no-ops elsewhere
     import resource as _resource
 except ImportError:  # pragma: no cover - non-POSIX fallback
     _resource = None  # type: ignore[assignment]
-
-logger = logging.getLogger("repro.executor")
 
 
 class Point(NamedTuple):
@@ -107,10 +98,6 @@ class Point(NamedTuple):
 PointLike = Union[Point, Tuple[str, float, ClusterConfig]]
 
 _default_jobs: Optional[int] = None
-_default_checkpoint: Optional[SweepCheckpoint] = None
-
-#: set by the SIGINT/SIGTERM handler installed around checkpointed grids
-_shutdown_event = threading.Event()
 
 
 class PointDeadlineExceeded(RuntimeError):
@@ -180,48 +167,6 @@ def set_default_jobs(jobs: Optional[int]) -> None:
     ``REPRO_JOBS`` / serial fallback)."""
     global _default_jobs
     _default_jobs = None if jobs is None else _normalize(jobs)
-
-
-def set_default_checkpoint(checkpoint: Optional[SweepCheckpoint]) -> None:
-    """Install a process-wide sweep checkpoint.
-
-    Every subsequent :func:`run_points` call without an explicit
-    ``checkpoint=`` journals into it — this is how the CLI and
-    ``run_all_experiments.py`` checkpoint the ~20 experiment drivers
-    without per-driver plumbing.  ``None`` uninstalls.
-    """
-    global _default_checkpoint
-    _default_checkpoint = checkpoint
-
-
-def default_checkpoint() -> Optional[SweepCheckpoint]:
-    return _default_checkpoint
-
-
-_annotate_resume = False
-
-
-def set_resume_annotation(enabled: bool) -> None:
-    """Tag results served via a checkpoint journal with resume provenance.
-
-    When enabled (the ``resume`` CLI does this), a point that a previous
-    run journaled done and the cache replays comes back as a copy whose
-    ``meta`` carries ``resume.from_checkpoint`` — presentation-layer
-    only: the cached record is untouched, and the default (off) keeps
-    resumed grids bit-identical to uninterrupted ones.
-    """
-    global _annotate_resume
-    _annotate_resume = bool(enabled)
-
-
-def _resolve_checkpoint(
-    checkpoint: Union[SweepCheckpoint, str, None],
-) -> Optional[SweepCheckpoint]:
-    if checkpoint is None:
-        return _default_checkpoint
-    if isinstance(checkpoint, str):
-        return SweepCheckpoint(checkpoint)
-    return checkpoint
 
 
 def _normalize(jobs: int) -> int:
@@ -369,10 +314,10 @@ def _worker_init() -> None:
     """Pool-worker initializer: leave interrupt handling to the parent.
 
     On Ctrl-C the terminal signals the whole process group; workers must
-    finish (and cache) their in-flight point so the parent's graceful
-    drain has something to journal, so they ignore SIGINT/SIGTERM and
-    exit when the parent shuts the pool down — or, if the parent is
-    killed outright, within :data:`_ORPHAN_POLL_S` of its death.
+    finish (and cache) their in-flight point so a rerun can reuse it, so
+    they ignore SIGINT/SIGTERM and exit when the parent shuts the pool
+    down — or, if the parent is killed outright, within
+    :data:`_ORPHAN_POLL_S` of its death.
     """
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -382,32 +327,6 @@ def _worker_init() -> None:
     threading.Thread(
         target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
     ).start()
-
-
-@contextmanager
-def _graceful_signals(active: bool) -> Iterator[Optional[threading.Event]]:
-    """Install SIGINT/SIGTERM -> drain-flag handlers around a checkpointed
-    grid (main thread only); restores previous handlers on exit."""
-    if not active or threading.current_thread() is not threading.main_thread():
-        yield None
-        return
-    previous = {}
-    _shutdown_event.clear()
-
-    def _request_shutdown(signum, frame):  # noqa: ARG001
-        _shutdown_event.set()
-
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[sig] = signal.signal(sig, _request_shutdown)
-        except (ValueError, OSError):  # pragma: no cover - exotic platforms
-            pass
-    try:
-        yield _shutdown_event
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        _shutdown_event.clear()
 
 
 def _compute_point(point: Point) -> RunResult:
@@ -449,7 +368,8 @@ def _compute_point_guarded(
     rss_mb: Optional[int] = None,
 ) -> Union[RunResult, PointFailure]:
     """Pool worker that never raises: failures come back as data, so one
-    bad point cannot tear down the whole ``pool.map``-style batch."""
+    bad point cannot tear down the whole ``pool.map``-style batch.  Only
+    an interrupt of the serial loop propagates."""
     try:
         with _resource_guard(deadline_s, rss_mb):
             # Chaos-test hooks: slow every computed point down (so a test
@@ -462,6 +382,8 @@ def _compute_point_guarded(
             if chaos_alloc:
                 _ballast = bytearray(int(chaos_alloc * (1 << 20)))  # noqa: F841
             return _compute_point(point)
+    except KeyboardInterrupt:
+        raise
     except BaseException as exc:  # noqa: BLE001 - the whole point
         if isinstance(exc, PointDeadlineExceeded):
             kind = "deadline"
@@ -477,7 +399,6 @@ def run_points(
     jobs: Optional[int] = None,
     retries: Optional[int] = None,
     strict: bool = True,
-    checkpoint: Union[SweepCheckpoint, str, None] = None,
     deadline_s: Optional[float] = None,
     rss_mb: Optional[float] = None,
 ) -> List[Union[RunResult, PointFailure]]:
@@ -492,46 +413,12 @@ def run_points(
     raises :class:`GridExecutionError` *after* all in-flight points have
     completed (and been cached); with ``strict=False`` the returned list
     holds a :class:`PointFailure` in each failed slot.
-
-    With a ``checkpoint`` (explicit, by name, or installed via
-    :func:`set_default_checkpoint`) every outcome is journaled and
-    SIGINT/SIGTERM drain in-flight work then raise
-    :class:`SweepInterrupted` instead of ``KeyboardInterrupt`` (see the
-    module docstring).  ``deadline_s``/``rss_mb`` arm the per-point
-    resource guards.
+    ``deadline_s``/``rss_mb`` arm the per-point resource guards.
     """
-    from repro.core import runcache, sweeps
+    from repro.core import sweeps
 
     ordered: List[Point] = [Point(*p) for p in points]
-    unique: List[Point] = []
-    seen: Set[Point] = set()
-    for p in ordered:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-
-    cp = _resolve_checkpoint(checkpoint)
-    keys: Dict[Point, str] = {}
-    journal_done: Set[str] = set()
-    if cp is not None:
-        cp.open()
-        keys = {p: runcache.content_key(p.app, p.scale, p.config) for p in unique}
-        journal_done = cp.completed_keys()
-
-    def _journal(p: Point, outcome: Union[RunResult, PointFailure]) -> None:
-        if cp is None:
-            return
-        if isinstance(outcome, RunResult):
-            cp.record(keys[p], "done", app=p.app, scale=p.scale)
-        else:
-            cp.record(
-                keys[p],
-                "failed",
-                app=p.app,
-                scale=p.scale,
-                kind=outcome.kind,
-                error=outcome.error,
-            )
+    unique: List[Point] = list(dict.fromkeys(ordered))
 
     # Satisfy what we can from the layered caches (memory, then disk).
     resolved: Dict[Point, Union[RunResult, PointFailure]] = {}
@@ -540,23 +427,7 @@ def run_points(
         hit = sweeps.cached_lookup(p.app, p.scale, p.config)
         if hit is not None:
             resolved[p] = hit
-            if cp is not None and keys[p] in journal_done:
-                cp.resumed_points += 1
-                if _annotate_resume:
-                    resolved[p] = hit.with_meta(**{"resume.from_checkpoint": 1.0})
-            _journal(p, hit)
         else:
-            if cp is not None and keys[p] in journal_done:
-                # The journal can say "done" but never lies about data:
-                # it does not carry the result, the cache does.
-                cp.recomputed_points += 1
-                logger.warning(
-                    "point %s@%s journaled done in sweep '%s' but missing "
-                    "from the run cache (cleared or quarantined); recomputing",
-                    p.app,
-                    p.scale,
-                    cp.name,
-                )
             misses.append(p)
 
     # An oversized pool is pure overhead: clamp workers to the number of
@@ -568,75 +439,37 @@ def run_points(
     deadline = resolve_deadline(deadline_s)
     rss = resolve_rss_limit(rss_mb)
 
-    def _success(p: Point, out: RunResult, from_pool: bool) -> None:
-        """Collect one finished point *immediately* — the journal must
-        trail the simulation by at most the points in flight, so a kill
-        mid-batch loses nothing that already completed."""
+    pending: List[Point] = misses
+    for attempt in range(1, budget + 2):  # first try + `budget` retries
+        if not pending:
+            break
+        last_round = attempt == budget + 1
+        from_pool = n_jobs > 1 and len(pending) > 1
         if from_pool:
-            # install fresh pool successes in this process's caches so
-            # later serial calls hit (workers wrote the disk layer)
-            sweeps.cache_store(p.app, p.scale, p.config, out)
-        resolved[p] = out
-        _journal(p, out)
-
-    pending: List[Point] = list(misses)
-    interrupted = False
-    with _graceful_signals(cp is not None) as stop:
-        for attempt in range(1, budget + 2):  # first try + `budget` retries
-            if not pending or (stop is not None and stop.is_set()):
-                break
-            last_round = attempt == budget + 1
-            if n_jobs <= 1 or len(pending) == 1:
-                outcomes: Dict[Point, Union[RunResult, PointFailure]] = {}
-                for p in pending:
-                    if stop is not None and stop.is_set():
-                        break
-                    out = _compute_point_guarded(p, attempt, deadline, rss)
-                    outcomes[p] = out
-                    if isinstance(out, RunResult):
-                        _success(p, out, from_pool=False)
+            outcomes = _map_parallel(pending, n_jobs, attempt, deadline, rss)
+        else:
+            outcomes = {
+                p: _compute_point_guarded(p, attempt, deadline, rss)
+                for p in pending
+            }
+        pending = []
+        for p, out in outcomes.items():
+            if isinstance(out, RunResult):
+                if from_pool:
+                    # the worker wrote the disk layer; install the result
+                    # in this process's memory cache so later calls hit
+                    sweeps.cache_store(p.app, p.scale, p.config, out, disk=False)
+                resolved[p] = out
+            elif last_round:
+                resolved[p] = out
             else:
-                outcomes = _map_parallel(
-                    pending,
-                    n_jobs,
-                    attempt,
-                    deadline,
-                    rss,
-                    stop,
-                    on_success=lambda p, out: _success(p, out, from_pool=True),
-                )
-            retry_next: List[Point] = []
-            for p, out in outcomes.items():
-                if isinstance(out, PointFailure):
-                    if last_round:
-                        resolved[p] = out
-                        _journal(p, out)
-                    else:
-                        retry_next.append(p)
-            unattempted = [p for p in pending if p not in outcomes]
-            pending = unattempted + retry_next
-        interrupted = stop is not None and stop.is_set()
-
-    if interrupted and cp is not None:
-        cp.finalize("interrupted")
-        progress = cp.progress()
-        raise SweepInterrupted(
-            cp.name,
-            cp.resume_hint(),
-            done=int(progress["done"]),
-            total=len(unique),
-        )
+                pending.append(p)
 
     # Every completed point lands in the columnar result store — the
     # sweep builds the longitudinal corpus as a side effect.  Cache hits
     # ingest too (idempotent per content key) so migrated/old caches
     # backfill; failures never block the grid (best-effort by contract).
-    _ingest_outcomes(
-        unique,
-        [resolved[p] for p in unique],
-        sweep=cp.name if cp is not None else None,
-        keys=keys,
-    )
+    _ingest_outcomes(unique, [resolved[p] for p in unique])
 
     failures = [r for r in resolved.values() if isinstance(r, PointFailure)]
     if failures and strict:
@@ -647,13 +480,10 @@ def run_points(
 def _ingest_outcomes(
     points: Sequence[Point],
     outcomes: Sequence[Union[RunResult, PointFailure]],
-    sweep: Optional[str],
-    keys: Dict[Point, str],
 ) -> None:
     """Append a grid's successful outcomes to the result store.
 
-    ``points`` are distinct.  ``keys`` reuses content hashes the
-    checkpoint path already computed; anything missing is hashed here.
+    ``points`` are distinct.
     """
     from repro.core import runcache
     from repro.core.store import ingest_quietly, result_store
@@ -663,10 +493,10 @@ def _ingest_outcomes(
     entries = []
     for p, out in zip(points, outcomes):
         if isinstance(out, RunResult):
-            key = keys.get(p) or runcache.content_key(p.app, p.scale, p.config)
+            key = runcache.content_key(p.app, p.scale, p.config)
             entries.append((key, out, p.scale))
     if entries:
-        ingest_quietly(entries, sweep=sweep)
+        ingest_quietly(entries)
 
 
 def _map_parallel(
@@ -675,8 +505,6 @@ def _map_parallel(
     attempts: int,
     deadline_s: Optional[float] = None,
     rss_mb: Optional[int] = None,
-    stop: Optional[threading.Event] = None,
-    on_success: Optional[Callable[[Point, RunResult], None]] = None,
 ) -> Dict[Point, Union[RunResult, PointFailure]]:
     """Fan points across a process pool, one future per point.
 
@@ -685,13 +513,11 @@ def _map_parallel(
     by the OS, an unpicklable result, a broken pool) — and still maps
     them onto the individual point rather than aborting the batch.
 
-    ``on_success(point, result)`` fires as each future completes (not at
-    batch end) so the caller can cache + journal eagerly.  When ``stop``
-    is set mid-batch (graceful shutdown), queued futures are cancelled
-    and only the points already running are awaited — the drain leaves
-    every completed point collected and nothing torn.
+    On ``KeyboardInterrupt`` the queued futures are cancelled and the
+    interrupt re-raised; leaving the pool's ``with`` block then waits
+    for the points already running, whose workers cache their results.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     workers = max(1, min(n_jobs, len(misses)))
     outcomes: Dict[Point, Union[RunResult, PointFailure]] = {}
@@ -700,28 +526,17 @@ def _map_parallel(
             pool.submit(_compute_point_guarded, p, attempts, deadline_s, rss_mb): p
             for p in misses
         }
-        remaining = set(futures)
-        drained = False
-        while remaining:
-            if stop is not None and stop.is_set() and not drained:
-                drained = True
-                for fut in list(remaining):
-                    if fut.cancel():  # queued, not yet started
-                        remaining.discard(fut)
-                if not remaining:
-                    break
-            done, remaining = wait(
-                remaining, timeout=0.2, return_when=FIRST_COMPLETED
-            )
-            for fut in done:
+        try:
+            for fut in as_completed(futures):
                 p = futures[fut]
                 try:
                     outcomes[p] = fut.result()
-                except BaseException as exc:  # noqa: BLE001 - see docstring
+                except Exception as exc:  # noqa: BLE001 - see docstring
                     outcomes[p] = _capture_failure(p, exc, attempts)
-                out = outcomes[p]
-                if on_success is not None and isinstance(out, RunResult):
-                    on_success(p, out)
+        except KeyboardInterrupt:
+            for fut in futures:
+                fut.cancel()
+            raise
     return outcomes
 
 

@@ -12,7 +12,6 @@ Definitions follow the paper:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
@@ -84,16 +83,6 @@ class RunResult:
                 s.time["compute"] + s.time["local_stall"] for s in self.proc_stats
             )
         return self.serial_cycles / max(1, busiest)
-
-    def with_meta(self, **extra: float) -> "RunResult":
-        """Copy of this result with extra :attr:`meta` keys.
-
-        Used for presentation-layer annotations — e.g. resume provenance
-        (``python -m repro resume`` tags exported records with
-        ``resume.*`` keys) — without mutating the original, so cached
-        records and bit-identical-replay guarantees are untouched.
-        """
-        return dataclasses.replace(self, meta={**self.meta, **extra})
 
     def slowdown_vs(self, other: "RunResult") -> float:
         """Fractional slowdown of *this* run relative to ``other``

@@ -15,8 +15,8 @@ keyed by its run-cache content hash plus serving fidelity, exploded into
 a typed ``runs`` row and long-format ``run_metrics`` rows (time
 categories, per-resource utilization, protocol counters, meta).  The
 executor calls it for every point a grid resolves (fresh or cache-hit),
-tagging the sweep id when a checkpoint is active, so sweeps build the
-corpus as a side effect.  ``ingest_artifact`` appends a rendered
+so sweeps build the corpus as a side effect (their ``sweep`` column is
+NULL; only ``repro report ingest --runcache`` tags one).  ``ingest_artifact`` appends a rendered
 experiment table (``repro experiment`` / ``run_all_experiments.py``
 outputs land here; ``repro report ingest`` migrates the committed
 ``results/*.txt``/``*.json`` pairs and the ``.runcache``).

@@ -113,18 +113,13 @@ def sweep_comm_param(
     base: Optional[ClusterConfig] = None,
     scale: float = 1.0,
     jobs: Optional[int] = None,
-    checkpoint=None,
 ) -> List[RunResult]:
-    """Vary one CommParams field over ``values`` (all else achievable).
-
-    ``checkpoint`` (a sweep name or :class:`~repro.core.checkpoint.
-    SweepCheckpoint`) journals each point for crash-safe resume.
-    """
+    """Vary one CommParams field over ``values`` (all else achievable)."""
     from repro.core.executor import run_points
 
     base = base if base is not None else ClusterConfig()
     points = [(app_name, scale, base.with_comm(**{param: v})) for v in values]
-    return run_points(points, jobs=jobs, checkpoint=checkpoint)
+    return run_points(points, jobs=jobs)
 
 
 def run_apps(
@@ -132,18 +127,13 @@ def run_apps(
     apps: Optional[Iterable[str]] = None,
     scale: float = 1.0,
     jobs: Optional[int] = None,
-    checkpoint=None,
 ) -> Dict[str, RunResult]:
     """One run per application under ``config``."""
     from repro.core.executor import run_points
 
     config = config if config is not None else ClusterConfig()
     names = list(apps) if apps is not None else list(APP_ORDER)
-    results = run_points(
-        [(name, scale, config) for name in names],
-        jobs=jobs,
-        checkpoint=checkpoint,
-    )
+    results = run_points([(name, scale, config) for name in names], jobs=jobs)
     return dict(zip(names, results))
 
 

@@ -40,23 +40,5 @@ def pick_apps(apps: Optional[Iterable[str]]) -> List[str]:
     return list(apps) if apps is not None else list(APP_ORDER)
 
 
-def attach_checkpoint_note(output: ExperimentOutput) -> ExperimentOutput:
-    """Append resume provenance to a driver's output notes.
-
-    When the process-wide sweep checkpoint is installed (``--checkpoint``
-    / ``resume``), the experiment's table records how many points were
-    journaled, resumed from a previous run, or recomputed — so archived
-    tables say whether they came from one uninterrupted run.  A no-op
-    when no checkpoint is active.
-    """
-    from repro.core.executor import default_checkpoint
-
-    cp = default_checkpoint()
-    if cp is not None:
-        note = cp.provenance_note()
-        output.notes = f"{output.notes}\n{note}" if output.notes else note
-    return output
-
-
 def series_row(name: str, values: Sequence[float]) -> List[Any]:
     return [name, *values]

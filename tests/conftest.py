@@ -16,11 +16,9 @@ from repro.core.sweeps import clear_caches
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_disk_cache(tmp_path_factory):
     root = tmp_path_factory.mktemp("runcache")
-    checkpoints = tmp_path_factory.mktemp("checkpoints")
     store_dir = tmp_path_factory.mktemp("store")
     mp = pytest.MonkeyPatch()
     mp.setenv("REPRO_CACHE_DIR", str(root))
-    mp.setenv("REPRO_CHECKPOINT_DIR", str(checkpoints))
     mp.setenv("REPRO_STORE_PATH", str(store_dir / "store.sqlite"))
     mp.delenv("REPRO_JOBS", raising=False)
     runcache.reset_disk_cache()

@@ -186,35 +186,43 @@ def test_list_includes_reliability(capsys):
     assert "reliability" in capsys.readouterr().out
 
 
-# --------------------------------------------------------------------- #
-# resume: the bare listing of checkpointed sweeps
-# --------------------------------------------------------------------- #
-@pytest.fixture
-def resume_env(tmp_path, monkeypatch):
-    from repro.core import runcache
-    from repro.core.sweeps import clear_caches
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "cp"))
-    runcache.reset_disk_cache()
-    clear_caches()
-    yield tmp_path
-    runcache.reset_disk_cache()
-    clear_caches()
-
-
-def test_resume_lists_checkpointed_sweeps(resume_env, capsys):
-    assert main(["sweep", "fft", "interrupt_cost", "0", "500", "--scale", "0.05",
-                 "--checkpoint", "cli-sweep"]) == 0
-    capsys.readouterr()
-    assert main(["resume"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    header = next(line for line in lines if "sweep" in line and "status" in line)
-    assert header.split() == ["sweep", "done", "failed", "status"]
-    row = next(line for line in lines if "cli-sweep" in line)
-    assert row.split() == ["cli-sweep", "2", "0", "complete"]
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-inf", "big"])
+@pytest.mark.parametrize("command", ["run", "verify", "profile", "sweep", "experiment"])
+def test_bad_scale_rejected_with_one_line_error(command, scale, capsys):
+    argv = {
+        "run": ["run", "lu"],
+        "verify": ["verify", "lu"],
+        "profile": ["profile", "lu"],
+        "sweep": ["sweep", "lu", "host_overhead", "0"],
+        "experiment": ["experiment", "figure01"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--scale={scale}"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"invalid --scale value '{scale}'" in errors[0]
+    assert "positive finite number" in errors[0]
 
 
-def test_resume_without_checkpoints(resume_env, capsys):
-    assert main(["resume"]) == 0
-    assert capsys.readouterr().out.strip() == "no checkpointed sweeps found"
+def test_main_restores_the_sigterm_handler(capsys):
+    import signal
+
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["list"]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_interrupt_exits_130_with_rerun_hint(monkeypatch, capsys):
+    import repro.cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(repro.cli, "cmd_sweep", interrupted)
+    argv = ["sweep", "lu", "host_overhead", "0", "500", "--scale", "0.05"]
+    assert main(argv) == 130
+    assert capsys.readouterr().err.splitlines() == [
+        "interrupted — finished points are cached; rerun: "
+        "python -m repro sweep lu host_overhead 0 500 --scale 0.05"
+    ]

@@ -112,3 +112,25 @@ def test_small_failed_grid_message_is_complete(fresh):
     message = str(exc.value)
     assert "no-such-app" in message and "also-missing" in message
     assert "more failure" not in message
+
+
+def test_serial_interrupt_stops_the_grid(fresh, monkeypatch):
+    """Ctrl-C in the serial loop propagates instead of being captured as
+    a point failure and retried; the points finished before it stay
+    cached for a rerun."""
+    from repro.core import executor
+
+    compute = executor._compute_point
+    calls = []
+
+    def interrupt_second(point):
+        calls.append(point.app)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return compute(point)
+
+    monkeypatch.setattr(executor, "_compute_point", interrupt_second)
+    with pytest.raises(KeyboardInterrupt):
+        run_points(_mixed_grid(), jobs=1)
+    assert calls == ["fft", "no-such-app"]
+    assert cached_lookup("fft", SCALE, ClusterConfig()) is not None

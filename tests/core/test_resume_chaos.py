@@ -1,15 +1,17 @@
-"""Kill-and-resume chaos tests: the acceptance gate for crash-safe sweeps.
+"""Kill-and-rerun chaos tests: the acceptance gate for restartable sweeps.
 
-A checkpointed sweep subprocess is killed mid-run (SIGKILL — no cleanup
-of any kind), resumed, and its merged results must be *byte-identical*
-to an uninterrupted run.  A second case sends SIGTERM and checks the
-graceful drain: exit code 130, a one-line resume hint, no traceback.
+A sweep subprocess is killed mid-run (SIGKILL — no cleanup of any
+kind), then the same command is simply run again: the finished points
+come back from the run cache, and the results must be *byte-identical*
+to an uninterrupted run.  A second case sends SIGTERM to ``repro sweep``
+and checks the interrupt path: exit code 130, a one-line rerun hint, no
+traceback, and the finished points cached.
 
+Progress is the number of records in the run cache.
 ``REPRO_CHAOS_POINT_DELAY_S`` stretches every computed point so the kill
 reliably lands mid-sweep; the delay changes nothing about the results.
 """
 
-import json
 import os
 import pathlib
 import signal
@@ -21,8 +23,8 @@ import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-#: driver executed as the sweep subprocess: runs a 6-point checkpointed
-#: grid and writes a canonical JSON serialization of every result field.
+#: driver executed as the sweep subprocess: runs a 6-point grid and
+#: writes a canonical JSON serialization of every result field.
 CHILD = """
 import dataclasses, json, pathlib, sys
 
@@ -35,7 +37,7 @@ grid = [
     ("lu", 0.05, base.with_comm(interrupt_cost=c))
     for c in (0, 200, 400, 600, 800, 1000)
 ]
-results = run_points(grid, jobs=2, checkpoint="chaos")
+results = run_points(grid, jobs=2)
 canon = json.dumps(
     [
         {
@@ -65,31 +67,18 @@ def _env(tmp: pathlib.Path, delay: str = "0") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["REPRO_CACHE_DIR"] = str(tmp / "cache")
-    env["REPRO_CHECKPOINT_DIR"] = str(tmp / "cp")
     env["REPRO_CHAOS_POINT_DELAY_S"] = delay
     env.pop("REPRO_JOBS", None)
     return env
 
 
-def _journal_done(tmp: pathlib.Path, sweep: str = "chaos") -> int:
-    path = tmp / "cp" / sweep / "journal.jsonl"
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return 0
-    done = 0
-    for line in raw.splitlines():
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue  # torn tail mid-kill: exactly what load() tolerates
-        if isinstance(rec, dict) and rec.get("status") == "done":
-            done += 1
-    return done
+def _cached(tmp: pathlib.Path) -> int:
+    """Points the sweep has finished: records in its run cache."""
+    return len(list((tmp / "cache").glob("*.pkl")))
 
 
 def _wait_for_partial_progress(proc, tmp, timeout=120.0):
-    """Block until ≥1 point is journaled but the sweep is still incomplete."""
+    """Block until ≥1 point is cached but the sweep is still incomplete."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if proc.poll() is not None:
@@ -97,11 +86,11 @@ def _wait_for_partial_progress(proc, tmp, timeout=120.0):
                 "sweep subprocess finished before the kill landed "
                 f"(rc={proc.returncode}); raise REPRO_CHAOS_POINT_DELAY_S"
             )
-        done = _journal_done(tmp)
+        done = _cached(tmp)
         if 1 <= done < TOTAL_POINTS:
             return done
         time.sleep(0.05)
-    pytest.fail("no journal progress within timeout")
+    pytest.fail("no cached progress within timeout")
 
 
 def _live_session_members(sid: int) -> list:
@@ -144,12 +133,12 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
     script = tmp_path / "chaos_child.py"
     script.write_text(CHILD)
 
-    # --- reference: one uninterrupted run in its own cache/journal dirs
+    # --- reference: one uninterrupted run in its own cache dir
     ref_dir = tmp_path / "ref"
     ref_out = tmp_path / "ref.json"
     _run_child(script, ref_out, _env(ref_dir))
 
-    # --- chaos: SIGKILL the sweep mid-run, then resume it
+    # --- chaos: SIGKILL the sweep mid-run, then rerun it
     chaos_dir = tmp_path / "chaos"
     chaos_out = tmp_path / "chaos.json"
     # its own session, so every process it forks can be found and reaped
@@ -175,17 +164,18 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
     # the killed sweep's pool workers must not outlive it
     assert leftovers == [], f"orphaned sweep processes still running: {leftovers}"
     assert not chaos_out.exists(), "killed run must not have produced output"
-    # the journal survived the kill with the pre-kill progress intact
-    assert _journal_done(chaos_dir) >= done_at_kill
+    # the cache survived the kill with the pre-kill progress intact
+    assert _cached(chaos_dir) >= done_at_kill
 
-    # --- resume: same command, no chaos delay needed the second time
+    # --- rerun: same command, no chaos delay needed the second time
     _run_child(script, chaos_out, _env(chaos_dir))
-    assert _journal_done(chaos_dir) == TOTAL_POINTS
+    assert _cached(chaos_dir) == TOTAL_POINTS
     assert chaos_out.read_bytes() == ref_out.read_bytes()
 
 
 def test_sigterm_drains_and_prints_resume_hint(tmp_path):
-    """Graceful shutdown through the CLI: exit 130 + hint, no traceback."""
+    """SIGTERM through the CLI: exit 130 + one rerun hint, no traceback;
+    rerunning the command prints what an uninterrupted run prints."""
     argv = [
         sys.executable,
         "-m",
@@ -198,37 +188,44 @@ def test_sigterm_drains_and_prints_resume_hint(tmp_path):
         "0.05",
         "--jobs",
         "2",
-        "--checkpoint",
-        "termsweep",
     ]
+    term_dir = tmp_path / "term"
     proc = subprocess.Popen(
         argv,
-        env=_env(tmp_path, delay="1.0"),
+        env=_env(term_dir, delay="1.0"),
         cwd=REPO_ROOT,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
     try:
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                pytest.fail(
-                    f"sweep finished before SIGTERM landed (rc={proc.returncode})"
-                )
-            if _journal_done(tmp_path, "termsweep") >= 1:
-                break
-            time.sleep(0.05)
-        else:  # pragma: no cover - timing failure
-            pytest.fail("no journal progress within timeout")
+        _wait_for_partial_progress(proc, term_dir)
         proc.send_signal(signal.SIGTERM)
         stdout, stderr = proc.communicate(timeout=120)
+        leftovers = _wait_for_empty_session(proc.pid)
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on test failure
             proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:
+            pass  # the session is already empty
     assert proc.returncode == 130, f"stdout:\n{stdout}\nstderr:\n{stderr}"
-    assert "resume with:" in stderr
-    assert "python -m repro resume termsweep" in stderr
+    hints = [line for line in stderr.splitlines() if "rerun:" in line]
+    assert len(hints) == 1, stderr
+    assert "python -m repro sweep lu host_overhead" in hints[0]
     assert "Traceback" not in stderr
-    # everything journaled before/during the drain is real progress
-    assert 1 <= _journal_done(tmp_path, "termsweep") <= TOTAL_POINTS
+    assert leftovers == [], f"sweep processes still running: {leftovers}"
+    # every point finished before or during the drain is cached
+    assert 1 <= _cached(term_dir) <= TOTAL_POINTS
+
+    rerun = subprocess.run(
+        argv, env=_env(term_dir), cwd=REPO_ROOT, capture_output=True, text=True,
+        timeout=600, check=True,
+    )
+    reference = subprocess.run(
+        argv, env=_env(tmp_path / "ref"), cwd=REPO_ROOT, capture_output=True,
+        text=True, timeout=600, check=True,
+    )
+    assert rerun.stdout == reference.stdout

@@ -1,4 +1,4 @@
-"""scripts/run_all_experiments.py: argument checks and the --resume pass."""
+"""scripts/run_all_experiments.py: argument checks and the rerun pass."""
 
 import importlib.util
 import pathlib
@@ -28,9 +28,45 @@ def test_negative_jobs_rejected(run_all_script, capsys):
     assert "invalid --jobs value '-1'" in capsys.readouterr().err
 
 
-def test_resume_skips_journaled_driver_and_reruns_missing_export(
-    run_all_script, tmp_path, monkeypatch
-):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scale", "0"],
+        ["--scale", "-1"],
+        ["--scale", "nan"],
+        ["--scale", "inf"],
+        ["0"],
+        ["-1", "out"],
+        ["nan"],
+        ["--scale", "0.5", "0"],
+    ],
+)
+def test_bad_scale_rejected(run_all_script, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_all_script.parse_args(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "invalid --scale value" in errors[0]
+
+
+def test_third_legacy_positional_rejected(run_all_script, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_all_script.parse_args(["0.5", "out", "extra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "too many positional arguments ['extra']" in err
+
+
+def test_legacy_positionals_still_parse(run_all_script):
+    args = run_all_script.parse_args(["0.25", "out"])
+    assert args.scale == 0.25
+    assert args.out == pathlib.Path("out")
+
+
+def test_rerun_rewrites_a_deleted_export(run_all_script, tmp_path, monkeypatch):
+    """A rerun after deleting one export rewrites it, and ``ALL.txt`` is
+    byte-identical."""
     calls = []
 
     def driver(name):
@@ -40,7 +76,6 @@ def test_resume_skips_journaled_driver_and_reruns_missing_export(
 
         return run
 
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
     monkeypatch.setattr(
         run_all_script, "DRIVERS", [("first", driver("first")), ("second", driver("second"))]
     )
@@ -49,11 +84,31 @@ def test_resume_skips_journaled_driver_and_reruns_missing_export(
 
     run_all_script.run_all(0.5, out, quiet=True)
     assert calls == ["first", "second"]
-    all_txt = (out / "ALL.txt").read_text()
+    all_txt = (out / "ALL.txt").read_bytes()
+    second_json = (out / "second.json").read_bytes()
 
     (out / "second.json").unlink()
-    timings = run_all_script.run_all(0.5, out, quiet=True, resume=True)
-    assert calls == ["first", "second", "second"]
-    assert timings["first"] == 0.0
-    assert (out / "second.json").is_file()
-    assert (out / "ALL.txt").read_text() == all_txt
+    run_all_script.run_all(0.5, out, quiet=True)
+    assert calls == ["first", "second", "first", "second"]
+    assert (out / "second.json").read_bytes() == second_json
+    assert (out / "ALL.txt").read_bytes() == all_txt
+
+
+def test_interrupt_exits_130_with_rerun_hint(run_all_script, tmp_path, monkeypatch, capsys):
+    import signal
+
+    def interrupted(scale):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(run_all_script, "DRIVERS", [("first", interrupted)])
+    before = signal.getsignal(signal.SIGTERM)
+    argv = ["--scale", "0.5", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        run_all_script.main(argv)
+    assert exc.value.code == 130
+    assert signal.getsignal(signal.SIGTERM) is before
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "interrupted — finished points are cached; rerun: "
+        f"python scripts/run_all_experiments.py --scale 0.5 --out {tmp_path / 'out'}"
+    ]

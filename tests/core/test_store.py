@@ -15,6 +15,7 @@ The store is the append-only system of record for completed runs
   advisory lock the run cache uses) lose nothing and duplicate nothing.
 """
 
+import dataclasses
 import json
 import os
 import sqlite3
@@ -118,8 +119,11 @@ def test_slowdown_view_aggregates_per_group(store, results):
 
 
 def test_non_finite_metric_values_round_trip(store, results):
-    r = results["hlrc"].with_meta(
-        bad_nan=float("nan"), bad_inf=float("inf"), bad_ninf=float("-inf")
+    base = results["hlrc"]
+    r = dataclasses.replace(
+        base,
+        meta={**base.meta, "bad_nan": float("nan"), "bad_inf": float("inf"),
+              "bad_ninf": float("-inf")},
     )
     store.ingest_result("k-nan", r, scale=SCALE)
     meta = store.metrics("k-nan", kind="meta")
