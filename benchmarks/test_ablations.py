@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import ablations
+from repro.experiments import run
 
 
 def test_bench_ablations(benchmark):
-    out = run_once(benchmark, lambda: ablations.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("ablations", scale=BENCH_SCALE))
     record(out)
     for name, entry in out.data.items():
         # store-and-forward never speeds anything up

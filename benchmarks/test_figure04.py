@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import figure04_bytes
+from repro.experiments import run
 
 
 def test_bench_figure04(benchmark):
-    out = run_once(benchmark, lambda: figure04_bytes.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure04", scale=BENCH_SCALE))
     record(out)
     # Radix moves the most data at every clustering; FFT is in the heavy
     # group with uniprocessor nodes (its sub-page transpose chunks

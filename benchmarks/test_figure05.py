@@ -3,11 +3,11 @@ correlation with messages sent."""
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import correlations, figure05_host_overhead
+from repro.experiments import run
 
 
 def test_bench_figure05(benchmark):
-    out = run_once(benchmark, lambda: figure05_host_overhead.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure05", scale=BENCH_SCALE))
     record(out)
     # host overhead is not a major performance factor: median slowdown small
     slows = []
@@ -19,6 +19,6 @@ def test_bench_figure05(benchmark):
 
 
 def test_bench_figure05b(benchmark):
-    out = run_once(benchmark, lambda: correlations.run_host_vs_messages(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure05b", scale=BENCH_SCALE))
     record(out)
     assert out.data["rank_correlation"] > 0.3

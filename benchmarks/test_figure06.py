@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import figure06_ni_occupancy
+from repro.experiments import run
 
 
 def test_bench_figure06(benchmark):
-    out = run_once(benchmark, lambda: figure06_ni_occupancy.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure06", scale=BENCH_SCALE))
     record(out)
     # most applications are insensitive to realistic occupancies
     insensitive = 0

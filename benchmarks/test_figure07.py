@@ -3,11 +3,11 @@ correlation with bytes sent."""
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import correlations, figure07_io_bandwidth
+from repro.experiments import run
 
 
 def test_bench_figure07(benchmark):
-    out = run_once(benchmark, lambda: figure07_io_bandwidth.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure07", scale=BENCH_SCALE))
     record(out)
 
     def beyond_achievable_gain(name):
@@ -24,6 +24,6 @@ def test_bench_figure07(benchmark):
 
 
 def test_bench_figure08(benchmark):
-    out = run_once(benchmark, lambda: correlations.run_bandwidth_vs_bytes(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure08", scale=BENCH_SCALE))
     record(out)
     assert out.data["rank_correlation"] > 0.3

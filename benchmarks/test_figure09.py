@@ -3,11 +3,11 @@ correlation with interrupt-raising protocol events."""
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import correlations, figure09_interrupt
+from repro.experiments import run
 
 
 def test_bench_figure09(benchmark):
-    out = run_once(benchmark, lambda: figure09_interrupt.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure09", scale=BENCH_SCALE))
     record(out)
     hurts = 0
     for name, series in out.data.items():
@@ -24,6 +24,6 @@ def test_bench_figure09(benchmark):
 
 
 def test_bench_figure10(benchmark):
-    out = run_once(benchmark, lambda: correlations.run_interrupt_vs_fetches(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure10", scale=BENCH_SCALE))
     record(out)
     assert out.data["rank_correlation"] > 0.3

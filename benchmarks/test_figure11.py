@@ -2,15 +2,15 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import figure06_ni_occupancy, figure11_aurc_occupancy
+from repro.experiments import run
 
 
 def test_bench_figure11(benchmark):
-    out = run_once(benchmark, lambda: figure11_aurc_occupancy.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure11", scale=BENCH_SCALE))
     record(out)
     # multi-writer apps under AURC react strongly to occupancy, more so
     # than under HLRC
-    hlrc = figure06_ni_occupancy.run(scale=BENCH_SCALE, apps=["water-nsq"])
+    hlrc = run("figure06", scale=BENCH_SCALE, apps=["water-nsq"])
 
     def slow(data, name):
         s = list(data[name].values())

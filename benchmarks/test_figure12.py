@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import figure12_page_size
+from repro.experiments import run
 
 
 def test_bench_figure12(benchmark):
-    out = run_once(benchmark, lambda: figure12_page_size.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure12", scale=BENCH_SCALE))
     record(out)
     # Radix prefers the biggest page; several applications prefer small
     radix = out.data["radix"]

@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import figure13_clustering
+from repro.experiments import run
 
 
 def test_bench_figure13(benchmark):
-    out = run_once(benchmark, lambda: figure13_clustering.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("figure13", scale=BENCH_SCALE))
     record(out)
     # clustering helps most applications
     helped = sum(1 for d in out.data.values() if d["8/node"] > d["1/node"])

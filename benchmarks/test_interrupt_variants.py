@@ -2,13 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import interrupt_variants
+from repro.experiments import run
 
 
 def test_bench_uniprocessor_nodes(benchmark):
-    out = run_once(
-        benchmark, lambda: interrupt_variants.run_uniprocessor_nodes(scale=BENCH_SCALE)
-    )
+    out = run_once(benchmark, lambda: run("section5-uninode", scale=BENCH_SCALE))
     record(out)
     for name, series in out.data.items():
         s = list(series.values())
@@ -16,9 +14,7 @@ def test_bench_uniprocessor_nodes(benchmark):
 
 
 def test_bench_round_robin(benchmark):
-    out = run_once(
-        benchmark, lambda: interrupt_variants.run_round_robin(scale=BENCH_SCALE)
-    )
+    out = run_once(benchmark, lambda: run("section5-roundrobin", scale=BENCH_SCALE))
     record(out)
     for name, d in out.data.items():
         # round-robin degrades with interrupt cost just like fixed delivery

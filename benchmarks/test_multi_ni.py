@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import multi_ni
+from repro.experiments import run
 
 
 def test_bench_multi_ni(benchmark):
-    out = run_once(benchmark, lambda: multi_ni.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("section10-multini", scale=BENCH_SCALE))
     record(out)
     # bandwidth-bound apps gain from a second NI at low bandwidth...
     for name in ("fft", "radix"):

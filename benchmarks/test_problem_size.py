@@ -2,11 +2,11 @@
 
 from conftest import record, run_once
 
-from repro.experiments import problem_size
+from repro.experiments import run
 
 
 def test_bench_problem_size(benchmark):
-    out = run_once(benchmark, lambda: problem_size.run(scale=0.5))
+    out = run_once(benchmark, lambda: run("problem-size", scale=0.5))
     record(out)
     for name, speeds in out.data.items():
         scales = sorted(speeds)

@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import protocol_processing
+from repro.experiments import run
 
 
 def test_bench_protocol_processing(benchmark):
-    out = run_once(benchmark, lambda: protocol_processing.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("section10-processing", scale=BENCH_SCALE))
     record(out)
     for name, entry in out.data.items():
         # interrupt-free modes are flat in interrupt cost

@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import table02_events
+from repro.experiments import run
 
 
 def test_bench_table02(benchmark):
-    out = run_once(benchmark, lambda: table02_events.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("table02", scale=BENCH_SCALE))
     record(out)
     for name, per_ppn in out.data.items():
         # fetch coalescing on SMP nodes

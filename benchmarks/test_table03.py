@@ -2,11 +2,11 @@
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import table03_slowdowns
+from repro.experiments import run
 
 
 def test_bench_table03(benchmark):
-    out = run_once(benchmark, lambda: table03_slowdowns.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("table03", scale=BENCH_SCALE))
     record(out)
     data = out.data
     # interrupt cost matters broadly

@@ -3,11 +3,11 @@ plus the Section 7 attribution runs."""
 
 from conftest import BENCH_SCALE, record, run_once
 
-from repro.experiments import table04_attribution, table04_speedups
+from repro.experiments import run
 
 
 def test_bench_table04(benchmark):
-    out = run_once(benchmark, lambda: table04_speedups.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("table04", scale=BENCH_SCALE))
     record(out)
     for name, d in out.data.items():
         assert d["achievable"] <= d["best"] * 1.05, name
@@ -19,7 +19,7 @@ def test_bench_table04(benchmark):
 
 
 def test_bench_attribution(benchmark):
-    out = run_once(benchmark, lambda: table04_attribution.run(scale=BENCH_SCALE))
+    out = run_once(benchmark, lambda: run("section7-attribution", scale=BENCH_SCALE))
     record(out)
     radix = out.data["radix"]
     assert radix["4x io bw"] > 1.2 * radix["achievable"]

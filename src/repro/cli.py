@@ -40,74 +40,11 @@ import math
 import shlex
 import signal
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.apps import APP_ORDER, app_names, get_app
 from repro.core import ClusterConfig, run_simulation
 from repro.core.reporting import format_table
-
-
-def _experiment_registry() -> Dict[str, Callable]:
-    from repro.experiments import (
-        ablations,
-        breakdowns,
-        collectives,
-        correlations,
-        figure01_speedups,
-        figure03_messages,
-        figure04_bytes,
-        figure05_host_overhead,
-        figure06_ni_occupancy,
-        figure07_io_bandwidth,
-        figure09_interrupt,
-        figure11_aurc_occupancy,
-        figure12_page_size,
-        figure13_clustering,
-        interrupt_variants,
-        microbench,
-        multi_ni,
-        problem_size,
-        protocol_processing,
-        rdma_regime,
-        reliability,
-        table02_events,
-        table03_slowdowns,
-        table04_attribution,
-        table04_speedups,
-    )
-
-    return {
-        "figure01": figure01_speedups.run,
-        "table02": table02_events.run,
-        "figure03": figure03_messages.run,
-        "figure04": figure04_bytes.run,
-        "figure05": figure05_host_overhead.run,
-        "figure05b": correlations.run_host_vs_messages,
-        "figure06": figure06_ni_occupancy.run,
-        "figure07": figure07_io_bandwidth.run,
-        "figure08": correlations.run_bandwidth_vs_bytes,
-        "figure09": figure09_interrupt.run,
-        "figure10": correlations.run_interrupt_vs_fetches,
-        "figure11": figure11_aurc_occupancy.run,
-        "table03": table03_slowdowns.run,
-        "table04": table04_speedups.run,
-        "figure12": figure12_page_size.run,
-        "figure13": figure13_clustering.run,
-        "section5-uninode": interrupt_variants.run_uniprocessor_nodes,
-        "section5-roundrobin": interrupt_variants.run_round_robin,
-        "section7-attribution": lambda scale=1.0, apps=None, jobs=None: (
-            table04_attribution.run(scale=scale, jobs=jobs)
-        ),
-        "section10-processing": protocol_processing.run,
-        "section10-multini": multi_ni.run,
-        "problem-size": problem_size.run,
-        "reliability": reliability.run,
-        "rdma_regime": rdma_regime.run,
-        "collectives": collectives.run,
-        "ablations": ablations.run,
-        "breakdowns": breakdowns.run,
-        "microbench": lambda scale=1.0, apps=None, jobs=None: microbench.run(),
-    }
 
 
 def _jobs_type(text: str) -> int:
@@ -237,11 +174,13 @@ def _config_from(args: argparse.Namespace) -> ClusterConfig:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     print("applications:")
     for name in app_names():
         print(f"  {name}")
     print("\nexperiments:")
-    for name in _experiment_registry():
+    for name in EXPERIMENTS:
         print(f"  {name}")
     return 0
 
@@ -453,16 +392,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.core.store import ingest_artifact_quietly
+    from repro.experiments import EXPERIMENTS, run
 
-    registry = _experiment_registry()
-    if args.id not in registry:
+    if args.id not in EXPERIMENTS:
         print(f"unknown experiment {args.id!r}; see `repro list`", file=sys.stderr)
         return 2
-    kwargs = {"scale": args.scale, "jobs": args.jobs}
-    if args.apps:
-        kwargs["apps"] = args.apps
-
-    out = registry[args.id](**kwargs)
+    out = run(args.id, scale=args.scale, apps=args.apps or None, jobs=args.jobs)
     print(out.table_str())
     ingest_artifact_quietly(
         args.id,
@@ -559,14 +494,15 @@ def _report_ingest(store, args: argparse.Namespace) -> int:
         import json as _json
         import pathlib
 
+        from repro.experiments import EXPERIMENTS
+
         results_dir = pathlib.Path(args.results)
         if not results_dir.is_dir():
             print(f"error: no such directory {results_dir}", file=sys.stderr)
             return 2
-        known = set(_experiment_registry())
         for txt_path in sorted(results_dir.glob("*.txt")):
             exp_id = txt_path.stem
-            if exp_id not in known:
+            if exp_id not in EXPERIMENTS:
                 continue  # ALL.txt, stray notes...
             data = None
             json_path = txt_path.with_suffix(".json")

@@ -11,8 +11,7 @@ simulation is deterministic and self-contained.
 Worker count resolution (first match wins):
 
 1. the explicit ``jobs=`` argument;
-2. the process-wide default set via :func:`set_default_jobs` (the CLI's
-   ``--jobs`` flag and ``run_all_experiments.py`` use this);
+2. the process-wide default set via :func:`set_default_jobs`;
 3. the ``REPRO_JOBS`` environment variable;
 4. serial (1).
 
@@ -41,8 +40,8 @@ Interrupts
 ----------
 An interrupt is an ordinary ``KeyboardInterrupt``.  Every point a grid
 finishes is written to the disk run cache as it completes (by the pool
-worker, or by the serial loop), so nothing needs journaling: under a
-pool, queued points are cancelled and the points already running finish
+worker, or by the serial loop), so nothing needs journaling: a pool
+holds at most one submitted point per worker, and those points finish
 and land in the cache before the interrupt propagates.  Rerunning the
 same command serves the finished points from the cache and yields
 bit-identical results; a SIGKILL costs at most the points in flight.
@@ -508,39 +507,43 @@ def _map_parallel(
 ) -> Dict[Point, Union[RunResult, PointFailure]]:
     """Fan points across a process pool, one future per point.
 
+    At most one future per worker is outstanding: the next point, in
+    ``misses`` order, is submitted as each one completes.  So nothing
+    waits in the pool's call queue, and an interrupt never has more
+    than the points already running left to drain.
+
     Exceptions are normally caught *inside* the worker; the ``except``
     here only fires for infrastructure-level failures (a worker killed
     by the OS, an unpicklable result, a broken pool) — and still maps
     them onto the individual point rather than aborting the batch.
 
-    On ``KeyboardInterrupt`` the queued futures are cancelled and the
-    interrupt re-raised; leaving the pool's ``with`` block then waits
-    for the points already running, whose workers cache their results.
+    On ``KeyboardInterrupt`` the interrupt is re-raised; leaving the
+    pool's ``with`` block then waits for the points already running,
+    whose workers cache their results.
     """
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 
     workers = max(1, min(n_jobs, len(misses)))
     outcomes: Dict[Point, Union[RunResult, PointFailure]] = {}
+    queue = iter(misses)
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
-        futures = {
-            pool.submit(_compute_point_guarded, p, attempts, deadline_s, rss_mb): p
-            for p in misses
-        }
-        try:
-            for fut in as_completed(futures):
-                p = futures[fut]
+        running: Dict[Future, Point] = {}
+
+        def submit_next() -> None:
+            p = next(queue, None)
+            if p is not None:
+                fut = pool.submit(_compute_point_guarded, p, attempts, deadline_s, rss_mb)
+                running[fut] = p
+
+        for _ in range(workers):
+            submit_next()
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for fut in done:
+                p = running.pop(fut)
                 try:
                     outcomes[p] = fut.result()
                 except Exception as exc:  # noqa: BLE001 - see docstring
                     outcomes[p] = _capture_failure(p, exc, attempts)
-        except KeyboardInterrupt:
-            for fut in futures:
-                fut.cancel()
-            raise
+                submit_next()
     return outcomes
-
-
-def prefetch(points: Iterable[PointLike], jobs: Optional[int] = None) -> None:
-    """Warm the caches for a grid of points (sugar over :func:`run_points`
-    for drivers that keep their own result-collection loops)."""
-    run_points(points, jobs=jobs)

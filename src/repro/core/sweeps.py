@@ -43,12 +43,14 @@ def clear_caches(disk: bool = False) -> None:
             cache.clear()
 
 
-def cached_trace(name: str, scale: float, page_size: int, seed: int) -> AppTrace:
-    key = (name, scale, page_size, seed)
+def cached_trace(
+    name: str, scale: float, page_size: int, seed: int, n_procs: int = 16
+) -> AppTrace:
+    key = (name, scale, page_size, seed, n_procs)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
         trace = _TRACE_CACHE[key] = get_app(
-            name, n_procs=16, page_size=page_size, scale=scale, seed=seed
+            name, n_procs=n_procs, page_size=page_size, scale=scale, seed=seed
         )
     return trace
 
@@ -95,12 +97,15 @@ def cache_store(
 def cached_run(name: str, scale: float, config: ClusterConfig) -> RunResult:
     """Run (or fetch) one (app, config) point.
 
-    The trace is regenerated when the configuration's page size changes
-    (page numbers depend on it); clustering changes reuse the same trace.
+    The trace is regenerated when the configuration's page size or
+    processor count changes (page numbers and the work split depend on
+    them); clustering changes reuse the same trace.
     """
     result = cached_lookup(name, scale, config)
     if result is None:
-        trace = cached_trace(name, scale, config.comm.page_size, config.seed)
+        trace = cached_trace(
+            name, scale, config.comm.page_size, config.seed, config.total_procs
+        )
         result = run_simulation(trace, config)
         cache_store(name, scale, config, result)
     return result

@@ -20,67 +20,42 @@ both model settings.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional
 
 from repro.arch.params import ArchParams
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 DEFAULT_ABLATION_APPS = ("fft", "lu", "raytrace")
 
+_base_arch = ArchParams()
+_saf_arch = dataclasses.replace(_base_arch, model_cut_through=False)
+_nogate_arch = dataclasses.replace(_base_arch, model_rx_gate=False)
+#: column label -> configuration
+CONFIGS = {
+    "base": ClusterConfig(arch=_base_arch),
+    "store-and-forward": ClusterConfig(arch=_saf_arch),
+    "base @bw=0.25": ClusterConfig(arch=_base_arch).with_comm(io_bus_mb_per_mhz=0.25),
+    "s&f @bw=0.25": ClusterConfig(arch=_saf_arch).with_comm(io_bus_mb_per_mhz=0.25),
+    "base @intr=10k": ClusterConfig(arch=_base_arch).with_comm(interrupt_cost=10000),
+    "no-gate @intr=10k": ClusterConfig(arch=_nogate_arch).with_comm(interrupt_cost=10000),
+}
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    names = list(apps) if apps is not None else list(DEFAULT_ABLATION_APPS)
+
+def grid(scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps, DEFAULT_ABLATION_APPS), scale, CONFIGS.values())
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-
-    def point(name: str, arch: ArchParams, **comm_kw) -> float:
-        cfg = ClusterConfig(arch=arch).with_comm(**comm_kw)
-        return cached_run(name, scale, cfg).speedup
-
-    base_arch = ArchParams()
-    saf_arch = dataclasses.replace(base_arch, model_cut_through=False)
-    nogate_arch = dataclasses.replace(base_arch, model_rx_gate=False)
-
-    grid = [
-        (ArchParams(), {}),
-        (saf_arch, {}),
-        (base_arch, {"io_bus_mb_per_mhz": 0.25}),
-        (saf_arch, {"io_bus_mb_per_mhz": 0.25}),
-        (base_arch, {"interrupt_cost": 10000}),
-        (nogate_arch, {"interrupt_cost": 10000}),
-    ]
-    prefetch(
-        [
-            (name, scale, ClusterConfig(arch=arch).with_comm(**comm_kw))
-            for name in names
-            for arch, comm_kw in grid
-        ],
-        jobs=jobs,
-    )
-
-    for name in names:
-        entry = {
-            "base": point(name, base_arch),
-            "store-and-forward": point(name, saf_arch),
-            "base @bw=0.25": point(name, base_arch, io_bus_mb_per_mhz=0.25),
-            "s&f @bw=0.25": point(name, saf_arch, io_bus_mb_per_mhz=0.25),
-            "base @intr=10k": point(name, base_arch, interrupt_cost=10000),
-            "no-gate @intr=10k": point(name, nogate_arch, interrupt_cost=10000),
-        }
+    for name in pick_apps(apps, DEFAULT_ABLATION_APPS):
+        entry = {label: results[name, scale, cfg].speedup for label, cfg in CONFIGS.items()}
         data[name] = entry
         rows.append([name] + [round(v, 2) for v in entry.values()])
-
     return ExperimentOutput(
         experiment_id="ablations",
         title="Model ablations: transfer pipelining and the NI receive gate",
-        headers=["application"] + list(next(iter(data.values())).keys()),
+        headers=["application"] + list(CONFIGS),
         rows=rows,
         data=data,
         notes=(

@@ -9,27 +9,20 @@ Barnes-rebuild/Raytrace, contention-inflated data wait for Radix, ...).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.processor import TIME_CATEGORIES
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    config = ClusterConfig()
-    names = pick_apps(apps)
-    prefetch([(name, scale, config) for name in names], jobs=jobs)
+def grid(scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps), scale, [ClusterConfig()])
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
-        r = cached_run(name, scale, config)
+    for name in pick_apps(apps):
+        r = results[name, scale, ClusterConfig()]
         fractions = r.breakdown_fractions()
         data[name] = fractions
         rows.append(

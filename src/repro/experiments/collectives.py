@@ -16,12 +16,9 @@ barrier time).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.params import PROCS_PER_NODE_SWEEP
 from repro.core.config import ClusterConfig
-from repro.core.executor import run_points
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 from repro.protocol.collectives import COLLECTIVES
 
 #: barrier-heavy defaults: enough epochs for topology to matter, small
@@ -29,29 +26,25 @@ from repro.protocol.collectives import COLLECTIVES
 DEFAULT_APPS = ("fft", "radix")
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    base = ClusterConfig()
-    names = list(apps) if apps is not None else list(DEFAULT_APPS)
-    grid = [
-        (name, scale, base.replace(collective=coll).with_comm(procs_per_node=ppn))
-        for name in names
-        for coll in COLLECTIVES
-        for ppn in PROCS_PER_NODE_SWEEP
-    ]
-    results = iter(run_points(grid, jobs=jobs))
+def _config(coll: str, ppn: int) -> ClusterConfig:
+    return ClusterConfig(collective=coll).with_comm(procs_per_node=ppn)
+
+
+def grid(scale: float, apps: Apps) -> Grid:
+    configs = [_config(c, ppn) for c in COLLECTIVES for ppn in PROCS_PER_NODE_SWEEP]
+    return product_grid(pick_apps(apps, DEFAULT_APPS), scale, configs)
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     labels = [f"{ppn}/node" for ppn in PROCS_PER_NODE_SWEEP]
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps, DEFAULT_APPS):
         per_app = {}
         for coll in COLLECTIVES:
             cells = []
             for ppn in PROCS_PER_NODE_SWEEP:
-                r = next(results)
+                r = results[name, scale, _config(coll, ppn)]
                 wait = r.breakdown_fractions().get("barrier_wait", 0.0)
                 cells.append({"speedup": r.speedup, "barrier_wait": wait})
             per_app[coll] = dict(zip(labels, cells))

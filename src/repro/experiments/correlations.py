@@ -7,18 +7,26 @@ that the per-application slowdown is predicted by a traffic statistic:
 * I/O-bandwidth slowdown  <-> bytes sent          (Figure 8)
 * interrupt-cost slowdown <-> page fetches + remote lock acquires (Figure 10)
 
-Each ``run_*`` returns both normalized series (largest value = 1.0) and
+Each figure reports both normalized series (largest value = 1.0) and
 their rank correlation, which should be strongly positive.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple
 
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.core.metrics import RunResult
+from repro.experiments.common import (
+    Apps,
+    Experiment,
+    ExperimentOutput,
+    Grid,
+    Results,
+    bind,
+    pick_apps,
+    product_grid,
+)
 
 
 def _normalized(values: Dict[str, float]) -> Dict[str, float]:
@@ -42,41 +50,78 @@ def _rank_correlation(a: Dict[str, float], b: Dict[str, float]) -> float:
     return 1 - 6 * d2 / (n * (n * n - 1))
 
 
-def _correlation_experiment(
-    experiment_id: str,
-    title: str,
-    param: str,
-    lo,
-    hi,
-    metric_fn,
-    metric_name: str,
-    scale: float,
-    apps: Optional[Iterable[str]],
-    notes: str,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    base = ClusterConfig()
-    names = pick_apps(apps)
-    prefetch(
-        [
-            (name, scale, cfg)
-            for name in names
-            for cfg in (
-                base.with_comm(**{param: lo}),
-                base.with_comm(**{param: hi}),
-                base,
-            )
-        ],
-        jobs=jobs,
+class Correlation(NamedTuple):
+    id: str
+    title: str
+    #: the CommParams field swept, from its fast to its slow end
+    param: str
+    lo: Any
+    hi: Any
+    #: the traffic statistic, read from the achievable-configuration run
+    metric: Callable[[RunResult], float]
+    metric_name: str
+    notes: str
+
+
+CORRELATIONS = {
+    row.id: row
+    for row in (
+        Correlation(
+            "figure05b",
+            "Host-overhead slowdown vs messages sent",
+            "host_overhead",
+            0,
+            6000,
+            lambda r: r.messages_per_proc_per_mcycle,
+            "messages/proc/Mcycle",
+            "Paper shape: applications that send more messages depend more on "
+            "host overhead.",
+        ),
+        Correlation(
+            "figure08",
+            "I/O-bandwidth slowdown vs bytes sent",
+            "io_bus_mb_per_mhz",
+            2.0,
+            0.25,
+            lambda r: r.mbytes_per_proc_per_mcycle,
+            "MB/proc/Mcycle",
+            "Paper shape: applications that exchange a lot of data — not "
+            "necessarily many messages — need higher bandwidth.",
+        ),
+        # the interrupt-raising events: page fetches + remote lock acquires
+        Correlation(
+            "figure10",
+            "Interrupt-cost slowdown vs page fetches + remote lock acquires",
+            "interrupt_cost",
+            0,
+            10000,
+            lambda r: r.per_proc_per_mcycle("page_fetches")
+            + r.per_proc_per_mcycle("remote_lock_acquires"),
+            "(fetches+remote locks)/proc/Mcycle",
+            "Paper shape: interrupt-cost slowdown is closely related to the "
+            "number of protocol events that cause interrupts.",
+        ),
     )
+}
+
+
+def _configs(c: Correlation):
+    """The fast end, the slow end and the achievable baseline."""
+    base = ClusterConfig()
+    return base.with_comm(**{c.param: c.lo}), base.with_comm(**{c.param: c.hi}), base
+
+
+def grid(c: Correlation, scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps), scale, _configs(c))
+
+
+def render(c: Correlation, scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     slowdowns: Dict[str, float] = {}
     metrics: Dict[str, float] = {}
-    for name in names:
-        fast = cached_run(name, scale, base.with_comm(**{param: lo}))
-        slow = cached_run(name, scale, base.with_comm(**{param: hi}))
-        baseline = cached_run(name, scale, base)
+    for name in pick_apps(apps):
+        fast, slow, baseline = (results[name, scale, cfg] for cfg in _configs(c))
         slowdowns[name] = max(0.0, (fast.speedup - slow.speedup) / fast.speedup)
-        metrics[name] = metric_fn(baseline)
+        metrics[name] = c.metric(baseline)
     norm_slow = _normalized(slowdowns)
     norm_metric = _normalized(metrics)
     rho = _rank_correlation(slowdowns, metrics)
@@ -85,82 +130,18 @@ def _correlation_experiment(
         for name in sorted(norm_slow, key=norm_slow.get, reverse=True)
     ]
     return ExperimentOutput(
-        experiment_id=experiment_id,
-        title=title,
-        headers=["application", "slowdown (normalized)", f"{metric_name} (normalized)"],
+        experiment_id=c.id,
+        title=c.title,
+        headers=["application", "slowdown (normalized)", f"{c.metric_name} (normalized)"],
         rows=rows,
         data={
             "slowdown": slowdowns,
             "metric": metrics,
             "rank_correlation": rho,
         },
-        notes=notes + f"\nSpearman rank correlation: {rho:+.2f}",
+        notes=c.notes + f"\nSpearman rank correlation: {rho:+.2f}",
     )
 
 
-def run_host_vs_messages(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    """Figure 5b: host-overhead slowdown tracks messages sent."""
-    return _correlation_experiment(
-        "figure05b",
-        "Host-overhead slowdown vs messages sent",
-        "host_overhead",
-        0,
-        6000,
-        lambda r: r.messages_per_proc_per_mcycle,
-        "messages/proc/Mcycle",
-        scale,
-        apps,
-        "Paper shape: applications that send more messages depend more on "
-        "host overhead.",
-        jobs=jobs,
-    )
-
-
-def run_bandwidth_vs_bytes(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    """Figure 8: I/O-bandwidth slowdown tracks bytes sent."""
-    return _correlation_experiment(
-        "figure08",
-        "I/O-bandwidth slowdown vs bytes sent",
-        "io_bus_mb_per_mhz",
-        2.0,
-        0.25,
-        lambda r: r.mbytes_per_proc_per_mcycle,
-        "MB/proc/Mcycle",
-        scale,
-        apps,
-        "Paper shape: applications that exchange a lot of data — not "
-        "necessarily many messages — need higher bandwidth.",
-        jobs=jobs,
-    )
-
-
-def run_interrupt_vs_fetches(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    """Figure 10: interrupt-cost slowdown tracks page fetches + remote
-    lock acquires (the interrupt-raising events)."""
-    return _correlation_experiment(
-        "figure10",
-        "Interrupt-cost slowdown vs page fetches + remote lock acquires",
-        "interrupt_cost",
-        0,
-        10000,
-        lambda r: r.per_proc_per_mcycle("page_fetches")
-        + r.per_proc_per_mcycle("remote_lock_acquires"),
-        "(fetches+remote locks)/proc/Mcycle",
-        scale,
-        apps,
-        "Paper shape: interrupt-cost slowdown is closely related to the "
-        "number of protocol events that cause interrupts.",
-        jobs=jobs,
-    )
+def experiment(figure_id: str) -> Experiment:
+    return bind(CORRELATIONS[figure_id], grid, render)

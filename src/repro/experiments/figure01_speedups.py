@@ -8,26 +8,19 @@ processors per node.  The gap is what the rest of the study explains.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    config = ClusterConfig()
-    names = pick_apps(apps)
-    prefetch([(name, scale, config) for name in names], jobs=jobs)
+def grid(scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps), scale, [ClusterConfig()])
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
-        r = cached_run(name, scale, config)
+    for name in pick_apps(apps):
+        r = results[name, scale, ClusterConfig()]
         rows.append([name, round(r.ideal_speedup, 2), round(r.speedup, 2)])
         data[name] = {"ideal": r.ideal_speedup, "achievable": r.speedup}
     return ExperimentOutput(

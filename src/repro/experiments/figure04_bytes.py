@@ -3,36 +3,18 @@ for 1, 4 and 8 processors per node."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.params import TABLE2_CLUSTERINGS
-from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Results, pick_apps
+from repro.experiments.table02_events import CLUSTERED
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    names = pick_apps(apps)
-    prefetch(
-        [
-            (name, scale, ClusterConfig().with_comm(procs_per_node=ppn))
-            for name in names
-            for ppn in TABLE2_CLUSTERINGS
-        ],
-        jobs=jobs,
-    )
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps):
         series = {}
         for ppn in TABLE2_CLUSTERINGS:
-            r = cached_run(name, scale, ClusterConfig().with_comm(procs_per_node=ppn))
-            series[ppn] = r.mbytes_per_proc_per_mcycle
+            series[ppn] = results[name, scale, CLUSTERED[ppn]].mbytes_per_proc_per_mcycle
         data[name] = series
         rows.append([name] + [round(series[p], 4) for p in TABLE2_CLUSTERINGS])
     return ExperimentOutput(

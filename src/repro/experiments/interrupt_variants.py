@@ -12,39 +12,33 @@ The paper supplements Figure 9 with two variants:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.params import INTERRUPT_COST_SWEEP
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 #: a representative subset keeps this variant study affordable
 DEFAULT_VARIANT_APPS = ("fft", "water-nsq", "raytrace", "barnes-rebuild")
 
+UNINODE = [
+    ClusterConfig().with_comm(procs_per_node=1, interrupt_cost=cost)
+    for cost in INTERRUPT_COST_SWEEP
+]
+#: (fixed, round-robin) delivery at each interrupt cost
+ROUND_ROBIN = [
+    (fixed, fixed.with_comm(interrupt_scheme="round_robin"))
+    for fixed in (ClusterConfig().with_comm(interrupt_cost=c) for c in INTERRUPT_COST_SWEEP)
+]
 
-def run_uniprocessor_nodes(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
+
+def grid_uninode(scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps, DEFAULT_VARIANT_APPS), scale, UNINODE)
+
+
+def render_uninode(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    names = list(apps) if apps is not None else list(DEFAULT_VARIANT_APPS)
-    prefetch(
-        [
-            (name, scale, ClusterConfig().with_comm(procs_per_node=1, interrupt_cost=cost))
-            for name in names
-            for cost in INTERRUPT_COST_SWEEP
-        ],
-        jobs=jobs,
-    )
-    for name in names:
-        speedups = []
-        for cost in INTERRUPT_COST_SWEEP:
-            cfg = ClusterConfig().with_comm(procs_per_node=1, interrupt_cost=cost)
-            speedups.append(cached_run(name, scale, cfg).speedup)
+    for name in pick_apps(apps, DEFAULT_VARIANT_APPS):
+        speedups = [results[name, scale, cfg].speedup for cfg in UNINODE]
         data[name] = dict(zip(INTERRUPT_COST_SWEEP, speedups))
         slow = (speedups[0] - speedups[-1]) / speedups[0]
         rows.append([name] + [round(s, 2) for s in speedups] + [f"{slow*100:+.1f}%"])
@@ -62,35 +56,17 @@ def run_uniprocessor_nodes(
     )
 
 
-def run_round_robin(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
+def grid_round_robin(scale: float, apps: Apps) -> Grid:
+    configs = [cfg for pair in ROUND_ROBIN for cfg in pair]
+    return product_grid(pick_apps(apps, DEFAULT_VARIANT_APPS), scale, configs)
+
+
+def render_round_robin(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    names = list(apps) if apps is not None else list(DEFAULT_VARIANT_APPS)
-    prefetch(
-        [
-            (name, scale, cfg)
-            for name in names
-            for cost in INTERRUPT_COST_SWEEP
-            for cfg in (
-                ClusterConfig().with_comm(interrupt_cost=cost),
-                ClusterConfig().with_comm(
-                    interrupt_cost=cost, interrupt_scheme="round_robin"
-                ),
-            )
-        ],
-        jobs=jobs,
-    )
-    for name in names:
-        fixed, rr = [], []
-        for cost in INTERRUPT_COST_SWEEP:
-            base = ClusterConfig().with_comm(interrupt_cost=cost)
-            fixed.append(cached_run(name, scale, base).speedup)
-            rr_cfg = base.with_comm(interrupt_scheme="round_robin")
-            rr.append(cached_run(name, scale, rr_cfg).speedup)
+    for name in pick_apps(apps, DEFAULT_VARIANT_APPS):
+        fixed = [results[name, scale, f].speedup for f, _rr in ROUND_ROBIN]
+        rr = [results[name, scale, r].speedup for _f, r in ROUND_ROBIN]
         data[name] = {"fixed": fixed, "round_robin": rr}
         rows.append(
             [name]

@@ -26,8 +26,8 @@ from typing import List
 from repro.arch.params import INTERRUPT_COST_SWEEP, IO_BANDWIDTH_SWEEP
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig
-from repro.experiments.common import ExperimentOutput
-from repro.protocol.base import REQUEST_HEADER_BYTES, TAG_PAGE_FETCH
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results
+from repro.protocol.base import REQUEST_HEADER_BYTES
 
 
 def _measure_fetch(config: ClusterConfig, payload_pages: int = 1) -> int:
@@ -94,9 +94,13 @@ def _measure_stream_bandwidth(config: ClusterConfig, n_pages: int = 64) -> float
     return n_pages * page / done[0]
 
 
-def run(scale: float = 1.0, apps=None) -> ExperimentOutput:
-    """`scale`/`apps` accepted for driver-signature uniformity (unused —
-    microbenchmarks have no workload)."""
+def grid(scale: float, apps: Apps) -> Grid:
+    """Microbenchmarks have no workload: they read no simulation point."""
+    return []
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
+    """Measures an idle cluster directly; the arguments are unused."""
     base = ClusterConfig()
     rows = []
     data = {}

@@ -14,43 +14,30 @@ extra NIs are a *bandwidth* remedy, not a general one.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 NI_COUNTS = (1, 2, 4)
 DEFAULT_APPS = ("fft", "radix", "lu", "water-sp", "barnes-rebuild")
+#: I/O-bus label -> one configuration per NI count
+CONFIGS = {
+    label: [ClusterConfig().with_comm(nis_per_node=k, io_bus_mb_per_mhz=bw) for k in NI_COUNTS]
+    for bw, label in ((0.5, "achievable bw"), (0.25, "low bw"))
+}
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    names = list(apps) if apps is not None else list(DEFAULT_APPS)
-    prefetch(
-        [
-            (name, scale, ClusterConfig().with_comm(nis_per_node=k, io_bus_mb_per_mhz=bw))
-            for name in names
-            for bw in (0.5, 0.25)
-            for k in NI_COUNTS
-        ],
-        jobs=jobs,
-    )
+def grid(scale: float, apps: Apps) -> Grid:
+    configs = [cfg for series in CONFIGS.values() for cfg in series]
+    return product_grid(pick_apps(apps, DEFAULT_APPS), scale, configs)
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps, DEFAULT_APPS):
         entry = {}
-        for bw, label in ((0.5, "achievable bw"), (0.25, "low bw")):
-            series = []
-            for k in NI_COUNTS:
-                cfg = ClusterConfig().with_comm(
-                    nis_per_node=k, io_bus_mb_per_mhz=bw
-                )
-                series.append(cached_run(name, scale, cfg).speedup)
+        for label, configs in CONFIGS.items():
+            series = [results[name, scale, cfg].speedup for cfg in configs]
             entry[label] = series
             rows.append([name, label] + [round(s, 2) for s in series])
         data[name] = entry

@@ -11,36 +11,31 @@ intensity at each size.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import ExperimentOutput
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps
 
 SCALES = (0.25, 0.5, 1.0, 2.0)
 DEFAULT_APPS = ("fft", "lu", "water-nsq", "radix")
 
 
-def run(
-    scale: float = 1.0,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
+def grid(scale: float, apps: Apps) -> Grid:
     """`scale` acts as a multiplier on the sweep (pass 0.5 to halve every
     point, keeping the study affordable in benchmarks)."""
-    names = list(apps) if apps is not None else list(DEFAULT_APPS)
-    config = ClusterConfig()
-    prefetch(
-        [(name, s * scale, config) for name in names for s in SCALES], jobs=jobs
-    )
+    return [
+        (name, s * scale, ClusterConfig())
+        for name in pick_apps(apps, DEFAULT_APPS)
+        for s in SCALES
+    ]
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps, DEFAULT_APPS):
         speeds = {}
         for s in SCALES:
             eff = s * scale
-            r = cached_run(name, eff, config)
+            r = results[name, eff, ClusterConfig()]
             speeds[s] = {
                 "speedup": r.speedup,
                 "mb_per_mc": r.mbytes_per_proc_per_mcycle,

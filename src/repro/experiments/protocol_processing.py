@@ -25,60 +25,39 @@ not — is exactly why.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-from repro.apps import get_app
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.run import run_simulation
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 SWEEP = (0, 500, 2000, 10000)
 DEFAULT_APPS = ("fft", "water-nsq", "barnes-rebuild")
-
-
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    names = list(apps) if apps is not None else list(DEFAULT_APPS)
-    prefetch(
-        [
-            (name, scale, ClusterConfig().with_comm(protocol_processing=mode, interrupt_cost=cost))
-            for name in names
-            for mode in ("interrupt", "polling-dedicated", "ni-offload")
-            for cost in SWEEP
-        ],
-        jobs=jobs,
+#: row label -> one configuration per interrupt cost
+CONFIGS = {
+    mode: [ClusterConfig().with_comm(protocol_processing=mode, interrupt_cost=c) for c in SWEEP]
+    for mode in ("interrupt", "polling-dedicated", "ni-offload")
+}
+# equal-CPU-budget polling: 12 application processors on 4 nodes
+CONFIGS["polling-equal-budget"] = [
+    ClusterConfig(total_procs=12).with_comm(
+        procs_per_node=3, protocol_processing="polling-dedicated", interrupt_cost=c
     )
+    for c in SWEEP
+]
+
+
+def grid(scale: float, apps: Apps) -> Grid:
+    configs = [cfg for series in CONFIGS.values() for cfg in series]
+    return product_grid(pick_apps(apps, DEFAULT_APPS), scale, configs)
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps, DEFAULT_APPS):
         entry = {}
-        for mode in ("interrupt", "polling-dedicated", "ni-offload"):
-            speedups = []
-            for cost in SWEEP:
-                cfg = ClusterConfig().with_comm(
-                    protocol_processing=mode, interrupt_cost=cost
-                )
-                speedups.append(cached_run(name, scale, cfg).speedup)
+        for mode, configs in CONFIGS.items():
+            speedups = [results[name, scale, cfg].speedup for cfg in configs]
             entry[mode] = speedups
             rows.append([name, mode] + [round(s, 2) for s in speedups])
-        # equal-CPU-budget polling: 12 application processors on 4 nodes
-        budget = []
-        app12 = get_app(name, n_procs=12, scale=scale)
-        for cost in SWEEP:
-            cfg = ClusterConfig(
-                total_procs=12,
-            ).with_comm(
-                procs_per_node=3, protocol_processing="polling-dedicated",
-                interrupt_cost=cost,
-            )
-            budget.append(run_simulation(app12, cfg).speedup)
-        entry["polling-equal-budget"] = budget
-        rows.append([name, "polling-equal-budget"] + [round(s, 2) for s in budget])
         data[name] = entry
     return ExperimentOutput(
         experiment_id="section10-processing",

@@ -13,34 +13,28 @@ sensitivity (the Figure 5 sweep) the RDMA regime makes moot.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.params import HOST_OVERHEAD_SWEEP
 from repro.core.config import ClusterConfig
-from repro.core.executor import run_points
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
+
+WORST_OVERHEAD = HOST_OVERHEAD_SWEEP[-1]
+#: baseline, baseline at the worst host overhead, and the RDMA regime
+CONFIGS = (
+    ClusterConfig(),
+    ClusterConfig().with_comm(host_overhead=WORST_OVERHEAD),
+    ClusterConfig().with_comm(comm_regime="rdma"),
+)
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    base = ClusterConfig()
-    rdma = base.with_comm(comm_regime="rdma")
-    worst_overhead = HOST_OVERHEAD_SWEEP[-1]
-    stressed = base.with_comm(host_overhead=worst_overhead)
-    names = pick_apps(apps)
-    grid = [
-        (name, scale, cfg) for name in names for cfg in (base, stressed, rdma)
-    ]
-    results = iter(run_points(grid, jobs=jobs))
+def grid(scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps), scale, CONFIGS)
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
-        r_base = next(results)
-        r_stress = next(results)
-        r_rdma = next(results)
+    for name in pick_apps(apps):
+        r_base, r_stress, r_rdma = (results[name, scale, cfg] for cfg in CONFIGS)
         gain = (r_rdma.speedup - r_base.speedup) / r_base.speedup
         rows.append(
             [
@@ -55,7 +49,7 @@ def run(
         data[name] = {
             "ideal": r_base.ideal_speedup,
             "baseline": r_base.speedup,
-            f"baseline_o={worst_overhead}": r_stress.speedup,
+            f"baseline_o={WORST_OVERHEAD}": r_stress.speedup,
             "rdma": r_rdma.speedup,
             "rdma_gain": gain,
         }
@@ -66,7 +60,7 @@ def run(
             "application",
             "ideal",
             "baseline",
-            f"baseline o={worst_overhead}",
+            f"baseline o={WORST_OVERHEAD}",
             "rdma",
             "rdma gain",
         ],

@@ -16,11 +16,10 @@ regression check that the reliability machinery is zero-cost when off.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from repro.core.config import ClusterConfig
-from repro.core.executor import run_points
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 #: per-message drop probabilities (0 = the paper's reliable fabric)
 DROP_SWEEP: Sequence[float] = (0.0, 0.005, 0.01, 0.02)
@@ -29,46 +28,53 @@ DROP_SWEEP: Sequence[float] = (0.0, 0.005, 0.01, 0.02)
 TIMEOUT_SWEEP: Sequence[int] = (50_000, 200_000)
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-    protocol: str = "hlrc",
-    drops: Sequence[float] = DROP_SWEEP,
-    timeouts: Sequence[int] = TIMEOUT_SWEEP,
-) -> ExperimentOutput:
-    base = ClusterConfig(protocol=protocol)
-    names = pick_apps(apps)
-
-    def config_for(drop: float, timeout: int) -> ClusterConfig:
-        if drop == 0.0:
-            return base  # shared fault-free baseline point
-        return base.with_faults(drop_prob=drop, retry_timeout=timeout)
-
-    cells = [
+def _cells(drops: Sequence[float], timeouts: Sequence[int]):
+    return [
         (drop, timeout)
         for drop in drops
         for timeout in (timeouts if drop else timeouts[:1])
     ]
-    grid = [
-        (name, scale, config_for(drop, timeout))
-        for name in names
-        for (drop, timeout) in cells
-    ]
-    results = iter(run_points(grid, jobs=jobs))
 
+
+def _config(protocol: str, drop: float, timeout: int) -> ClusterConfig:
+    base = ClusterConfig(protocol=protocol)
+    if drop == 0.0:
+        return base  # shared fault-free baseline point
+    return base.with_faults(drop_prob=drop, retry_timeout=timeout)
+
+
+def grid(
+    scale: float,
+    apps: Apps,
+    protocol: str = "hlrc",
+    drops: Sequence[float] = DROP_SWEEP,
+    timeouts: Sequence[int] = TIMEOUT_SWEEP,
+) -> Grid:
+    configs = [_config(protocol, *cell) for cell in _cells(drops, timeouts)]
+    return product_grid(pick_apps(apps), scale, configs)
+
+
+def render(
+    scale: float,
+    apps: Apps,
+    results: Results,
+    protocol: str = "hlrc",
+    drops: Sequence[float] = DROP_SWEEP,
+    timeouts: Sequence[int] = TIMEOUT_SWEEP,
+) -> ExperimentOutput:
+    cells = _cells(drops, timeouts)
     headers = ["application"] + [
         "baseline" if drop == 0.0 else f"drop={drop:g} to={timeout // 1000}k"
         for (drop, timeout) in cells
     ] + ["worst degradation"]
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps):
         per_cell = {}
         baseline = None
         cols = []
         for drop, timeout in cells:
-            r = next(results)
+            r = results[name, scale, _config(protocol, drop, timeout)]
             retx = int(r.meta.get("retransmits", 0.0))
             # string cell keys so ExperimentOutput.data stays JSON-serializable
             per_cell[f"drop={drop:g},timeout={timeout}"] = {

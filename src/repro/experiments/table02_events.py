@@ -8,13 +8,9 @@ mechanism behind Figure 13.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.params import TABLE2_CLUSTERINGS
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 COUNTERS = (
     "page_faults",
@@ -24,28 +20,24 @@ COUNTERS = (
     "barriers",
 )
 
+#: the achievable configuration at each Table 2 clustering (also read by
+#: Figures 3 and 4)
+CLUSTERED = {
+    ppn: ClusterConfig().with_comm(procs_per_node=ppn) for ppn in TABLE2_CLUSTERINGS
+}
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    names = pick_apps(apps)
-    prefetch(
-        [
-            (name, scale, ClusterConfig().with_comm(procs_per_node=ppn))
-            for name in names
-            for ppn in TABLE2_CLUSTERINGS
-        ],
-        jobs=jobs,
-    )
+
+def grid(scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps), scale, CLUSTERED.values())
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps):
         data[name] = {}
         for ppn in TABLE2_CLUSTERINGS:
-            config = ClusterConfig().with_comm(procs_per_node=ppn)
-            r = cached_run(name, scale, config)
+            r = results[name, scale, CLUSTERED[ppn]]
             rates = {c: r.per_proc_per_mcycle(c) for c in COUNTERS}
             data[name][ppn] = rates
             rows.append(

@@ -8,8 +8,6 @@ this for Radix's page size and for clustering)."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.params import (
     HOST_OVERHEAD_SWEEP,
     INTERRUPT_COST_SWEEP,
@@ -19,10 +17,8 @@ from repro.arch.params import (
     PROCS_PER_NODE_SWEEP,
 )
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
 from repro.core.reporting import format_percent
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
 
 #: parameter -> (best-end value, worst-end value)
 PARAM_ENDPOINTS = {
@@ -44,31 +40,23 @@ COLUMNS = [
 ]
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    base = ClusterConfig()
-    names = pick_apps(apps)
-    prefetch(
-        [
-            (name, scale, base.with_comm(**{param: v}))
-            for name in names
-            for param, _label in COLUMNS
-            for v in PARAM_ENDPOINTS[param]
-        ],
-        jobs=jobs,
-    )
+def _endpoints(param: str):
+    return [ClusterConfig().with_comm(**{param: v}) for v in PARAM_ENDPOINTS[param]]
+
+
+def grid(scale: float, apps: Apps) -> Grid:
+    configs = [cfg for param, _label in COLUMNS for cfg in _endpoints(param)]
+    return product_grid(pick_apps(apps), scale, configs)
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
+    for name in pick_apps(apps):
         entry = {}
         row = [name]
         for param, _label in COLUMNS:
-            lo, hi = PARAM_ENDPOINTS[param]
-            r_lo = cached_run(name, scale, base.with_comm(**{param: lo}))
-            r_hi = cached_run(name, scale, base.with_comm(**{param: hi}))
+            r_lo, r_hi = (results[name, scale, cfg] for cfg in _endpoints(param))
             slow = (r_lo.speedup - r_hi.speedup) / r_lo.speedup
             entry[param] = slow
             row.append(format_percent(slow))

@@ -15,75 +15,47 @@ targeted experiments; we reproduce the headline ones:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.arch.params import BEST
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results
+
+_base = ClusterConfig()
+#: (application, configuration label, configuration), in table order;
+#: the study picks its own applications, so ``apps`` is ignored
+RUNS = [
+    # FFT: interrupts + bandwidth
+    ("fft", "achievable", _base),
+    ("fft", "interrupts=0", _base.with_comm(interrupt_cost=0)),
+    ("fft", "io bw = membus", _base.with_comm(io_bus_mb_per_mhz=2.0)),
+    ("fft", "both", _base.with_comm(interrupt_cost=0, io_bus_mb_per_mhz=2.0)),
+    ("fft", "best", ClusterConfig(comm=BEST)),
+    # Radix: bandwidth/contention
+    ("radix", "achievable", _base),
+    ("radix", "4x io bw", _base.with_comm(io_bus_mb_per_mhz=2.0)),
+    ("radix", "best", ClusterConfig(comm=BEST)),
+] + [
+    # faults inside critical sections
+    (app, label, cfg)
+    for app in ("barnes-rebuild", "water-nsq", "volrend")
+    for label, cfg in (
+        ("achievable", _base),
+        ("no remote fetches", _base.replace(free_page_fetches=True)),
+        ("best, no remote fetches", ClusterConfig(comm=BEST, free_page_fetches=True)),
+    )
+]
 
 
-def run(scale: float = DEFAULT_SCALE, jobs: Optional[int] = None) -> ExperimentOutput:
+def grid(scale: float, apps: Apps) -> Grid:
+    return [(app, scale, cfg) for app, _label, cfg in RUNS]
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-
-    def point(app: str, label: str, config: ClusterConfig) -> float:
-        s = cached_run(app, scale, config).speedup
+    for app, label, cfg in RUNS:
+        s = results[app, scale, cfg].speedup
         rows.append([app, label, round(s, 2)])
         data.setdefault(app, {})[label] = s
-        return s
-
-    base = ClusterConfig()
-    lockish = ("barnes-rebuild", "water-nsq", "volrend")
-    prefetch(
-        [
-            ("fft", scale, base),
-            ("fft", scale, base.with_comm(interrupt_cost=0)),
-            ("fft", scale, base.with_comm(io_bus_mb_per_mhz=2.0)),
-            ("fft", scale, base.with_comm(interrupt_cost=0, io_bus_mb_per_mhz=2.0)),
-            ("fft", scale, ClusterConfig(comm=BEST)),
-            ("radix", scale, base),
-            ("radix", scale, base.with_comm(io_bus_mb_per_mhz=2.0)),
-            ("radix", scale, ClusterConfig(comm=BEST)),
-        ]
-        + [
-            (app, scale, cfg)
-            for app in lockish
-            for cfg in (
-                base,
-                base.replace(free_page_fetches=True),
-                ClusterConfig(comm=BEST, free_page_fetches=True),
-            )
-        ],
-        jobs=jobs,
-    )
-    # --- FFT: interrupts + bandwidth ---
-    point("fft", "achievable", base)
-    point("fft", "interrupts=0", base.with_comm(interrupt_cost=0))
-    point("fft", "io bw = membus", base.with_comm(io_bus_mb_per_mhz=2.0))
-    point(
-        "fft",
-        "both",
-        base.with_comm(interrupt_cost=0, io_bus_mb_per_mhz=2.0),
-    )
-    point("fft", "best", ClusterConfig(comm=BEST))
-
-    # --- Radix: bandwidth/contention ---
-    point("radix", "achievable", base)
-    point("radix", "4x io bw", base.with_comm(io_bus_mb_per_mhz=2.0))
-    point("radix", "best", ClusterConfig(comm=BEST))
-
-    # --- faults inside critical sections ---
-    for app in ("barnes-rebuild", "water-nsq", "volrend"):
-        point(app, "achievable", base)
-        point(app, "no remote fetches", base.replace(free_page_fetches=True))
-        point(
-            app,
-            "best, no remote fetches",
-            ClusterConfig(comm=BEST, free_page_fetches=True),
-        )
-
     return ExperimentOutput(
         experiment_id="section7-attribution",
         title="Guided what-if runs (Section 7 gap attribution)",

@@ -6,32 +6,22 @@ achievable set; *ideal* zeroes all communication and synchronization."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.arch.params import BEST
 from repro.core.config import ClusterConfig
-from repro.core.executor import prefetch
-from repro.core.sweeps import cached_run
-from repro.experiments.common import DEFAULT_SCALE, ExperimentOutput, pick_apps
+from repro.experiments.common import Apps, ExperimentOutput, Grid, Results, pick_apps, product_grid
+
+CONFIGS = (ClusterConfig(), ClusterConfig(comm=BEST))
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    apps: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentOutput:
-    achievable_cfg = ClusterConfig()
-    best_cfg = ClusterConfig(comm=BEST)
-    names = pick_apps(apps)
-    prefetch(
-        [(name, scale, cfg) for name in names for cfg in (achievable_cfg, best_cfg)],
-        jobs=jobs,
-    )
+def grid(scale: float, apps: Apps) -> Grid:
+    return product_grid(pick_apps(apps), scale, CONFIGS)
+
+
+def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
     rows = []
     data = {}
-    for name in names:
-        r_ach = cached_run(name, scale, achievable_cfg)
-        r_best = cached_run(name, scale, best_cfg)
+    for name in pick_apps(apps):
+        r_ach, r_best = (results[name, scale, cfg] for cfg in CONFIGS)
         data[name] = {
             "best": r_best.speedup,
             "achievable": r_ach.speedup,

@@ -10,7 +10,6 @@ from repro.core import runcache
 from repro.core.config import ClusterConfig
 from repro.core.executor import (
     Point,
-    prefetch,
     resolve_jobs,
     run_points,
     set_default_jobs,
@@ -90,7 +89,7 @@ def test_run_points_preserves_order_and_dedups(fresh):
 def test_run_points_populates_shared_caches(fresh):
     p = Point("lu", GRID_SCALE, ClusterConfig())
     assert cached_lookup(*p) is None
-    prefetch([p], jobs=2)
+    run_points([p], jobs=2)
     assert cached_lookup(*p) is not None
     # and the disk layer saw it too
     clear_caches()
@@ -148,3 +147,39 @@ def test_single_point_grid_runs_serial_even_with_jobs(fresh):
     results = run_points(pts, jobs=8)
     assert len(results) == 4
     assert all(r is results[0] for r in results)
+
+
+def test_twelve_processor_point_runs_through_the_cache(fresh):
+    """A config with fewer than 16 processors gets a trace built for its
+    own processor count, so it is an ordinary, cached grid point."""
+    from repro.apps import get_app
+    from repro.core.run import run_simulation
+
+    cfg = ClusterConfig(total_procs=12).with_comm(
+        procs_per_node=3, protocol_processing="polling-dedicated"
+    )
+    [result] = run_points([("fft", 0.02, cfg)])
+    clear_caches()  # drop the memory layer: the hit must come from disk
+    assert cached_lookup("fft", 0.02, cfg) is not None
+    direct = run_simulation(get_app("fft", n_procs=12, scale=0.02), cfg)
+    assert result == direct
+    assert _canon([result]) == _canon([direct])
+
+
+def test_interrupt_drains_only_the_running_points(fresh, monkeypatch):
+    """Under jobs=2 an interrupt leaves at most the two running points to
+    finish: no further point waits in the pool's call queue."""
+    import _thread
+    import threading
+
+    monkeypatch.setenv("REPRO_CHAOS_POINT_DELAY_S", "1")
+    base = ClusterConfig()
+    grid = [("lu", GRID_SCALE, base.with_comm(interrupt_cost=c)) for c in range(0, 1000, 100)]
+    timer = threading.Timer(0.25, _thread.interrupt_main)
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_points(grid, jobs=2)
+    finally:
+        timer.cancel()
+    assert len(list(runcache.disk_cache().entries())) <= 2

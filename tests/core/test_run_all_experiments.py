@@ -1,4 +1,5 @@
-"""scripts/run_all_experiments.py: argument checks and the rerun pass."""
+"""scripts/run_all_experiments.py: argument checks, the one simulation
+pass, and the rerun pass."""
 
 import importlib.util
 import pathlib
@@ -6,6 +7,9 @@ import sys
 
 import pytest
 
+from repro.core import runcache, sweeps
+from repro.core.sweeps import clear_caches
+from repro.experiments import EXPERIMENTS
 from repro.experiments.common import ExperimentOutput
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -69,15 +73,17 @@ def test_rerun_rewrites_a_deleted_export(run_all_script, tmp_path, monkeypatch):
     byte-identical."""
     calls = []
 
-    def driver(name):
-        def run(scale):
+    def experiment(name):
+        def render(scale, apps, results):
             calls.append(name)
             return ExperimentOutput(name, "stub", ["x"], [[scale]])
 
-        return run
+        return (lambda scale, apps: [], render)
 
     monkeypatch.setattr(
-        run_all_script, "DRIVERS", [("first", driver("first")), ("second", driver("second"))]
+        run_all_script,
+        "EXPERIMENTS",
+        {"first": experiment("first"), "second": experiment("second")},
     )
     monkeypatch.setattr(run_all_script, "ingest_artifact_quietly", lambda *a, **k: None)
     out = tmp_path / "out"
@@ -97,10 +103,10 @@ def test_rerun_rewrites_a_deleted_export(run_all_script, tmp_path, monkeypatch):
 def test_interrupt_exits_130_with_rerun_hint(run_all_script, tmp_path, monkeypatch, capsys):
     import signal
 
-    def interrupted(scale):
+    def interrupted(scale, apps):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(run_all_script, "DRIVERS", [("first", interrupted)])
+    monkeypatch.setattr(run_all_script, "EXPERIMENTS", {"first": (interrupted, None)})
     before = signal.getsignal(signal.SIGTERM)
     argv = ["--scale", "0.5", "--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
@@ -112,3 +118,59 @@ def test_interrupt_exits_130_with_rerun_hint(run_all_script, tmp_path, monkeypat
         "interrupted — finished points are cached; rerun: "
         f"python scripts/run_all_experiments.py --scale 0.5 --out {tmp_path / 'out'}"
     ]
+
+
+#: a registry subset that shares points (figure01 and table04 both read
+#: the achievable baseline) and includes the 12-processor
+#: equal-budget rows of section10-processing
+SUBSET = ("figure01", "table04", "section10-processing")
+
+
+@pytest.fixture
+def subset(run_all_script, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    runcache.reset_disk_cache()
+    clear_caches()
+    monkeypatch.setattr(
+        run_all_script, "EXPERIMENTS", {name: EXPERIMENTS[name] for name in SUBSET}
+    )
+    monkeypatch.setattr(run_all_script, "ingest_artifact_quietly", lambda *a, **k: None)
+    yield run_all_script
+    runcache.reset_disk_cache()
+    clear_caches()
+
+
+def test_one_run_points_call_over_the_union_of_grids(subset, tmp_path, monkeypatch):
+    calls = []
+    real = subset.run_points
+
+    def spy(points, **kw):
+        calls.append(list(points))
+        return real(calls[-1], **kw)
+
+    monkeypatch.setattr(subset, "run_points", spy)
+    subset.run_all(0.02, tmp_path / "out", jobs=1, quiet=True)
+    union = list(
+        dict.fromkeys(p for name in SUBSET for p in EXPERIMENTS[name].grid(0.02, None))
+    )
+    assert len(calls) == 1
+    assert calls[0] == union
+    assert len(union) < sum(len(EXPERIMENTS[n].grid(0.02, None)) for n in SUBSET)
+
+
+def test_warm_rerun_simulates_nothing(subset, tmp_path, monkeypatch):
+    subset.run_all(0.02, tmp_path / "cold", jobs=1, quiet=True)
+    clear_caches()  # only the disk layer stays warm, as in a new process
+    simulated = []
+    real = sweeps.run_simulation
+
+    def counting(trace, config):
+        simulated.append(config)
+        return real(trace, config)
+
+    monkeypatch.setattr(sweeps, "run_simulation", counting)
+    subset.run_all(0.02, tmp_path / "warm", jobs=1, quiet=True)
+    assert simulated == []
+    for name in SUBSET:
+        cold = (tmp_path / "cold" / f"{name}.txt").read_bytes()
+        assert (tmp_path / "warm" / f"{name}.txt").read_bytes() == cold

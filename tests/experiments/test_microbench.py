@@ -3,12 +3,12 @@
 import pytest
 
 from repro.arch import ArchParams, CommParams
-from repro.experiments import breakdowns, microbench
+from repro.experiments import run
 
 
 @pytest.fixture(scope="module")
 def out():
-    return microbench.run()
+    return run("microbench")
 
 
 def test_microbench_basic_ordering(out):
@@ -49,7 +49,7 @@ def test_fetch_calibration_magnitude(out):
 
 
 def test_breakdowns_driver():
-    result = breakdowns.run(scale=0.25, apps=["fft", "lu", "barnes-rebuild"])
+    result = run("breakdowns", scale=0.25, apps=["fft", "lu", "barnes-rebuild"])
     assert set(result.data) == {"fft", "lu", "barnes-rebuild"}
     for fractions in result.data.values():
         assert sum(fractions.values()) == pytest.approx(1.0)
