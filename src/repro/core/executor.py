@@ -11,9 +11,8 @@ simulation is deterministic and self-contained.
 Worker count resolution (first match wins):
 
 1. the explicit ``jobs=`` argument;
-2. the process-wide default set via :func:`set_default_jobs`;
-3. the ``REPRO_JOBS`` environment variable;
-4. serial (1).
+2. the ``REPRO_JOBS`` environment variable;
+3. serial (1).
 
 ``jobs=1`` never touches ``multiprocessing`` — debugging, profiling and
 coverage see a plain in-process loop.  ``jobs=0`` means "all cores"
@@ -27,8 +26,9 @@ Failure handling
 A grid run is an hour of work; one poisoned point must not discard the
 other 99.  Every point is submitted individually and its exception is
 captured *per point* (inside the worker when possible, around the future
-otherwise, so even a crashed worker process only poisons its own point).
-Failed points are retried ``retries`` times (default 1, override with
+otherwise).  A crashed worker process breaks the pool, so it fails the
+rest of that round's points, and the retry round reruns them in a fresh
+pool.  Failed points are retried ``retries`` times (default 1, override with
 ``REPRO_POINT_RETRIES``) before being recorded as a
 :class:`PointFailure`.  With ``strict=True`` (the default)
 :func:`run_points` finishes all in-flight work, then raises
@@ -96,8 +96,6 @@ class Point(NamedTuple):
 
 PointLike = Union[Point, Tuple[str, float, ClusterConfig]]
 
-_default_jobs: Optional[int] = None
-
 
 class PointDeadlineExceeded(RuntimeError):
     """A simulation point overran its per-point wall-clock deadline."""
@@ -161,13 +159,6 @@ class GridExecutionError(RuntimeError):
         )
 
 
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the process-wide default worker count (``None`` resets to the
-    ``REPRO_JOBS`` / serial fallback)."""
-    global _default_jobs
-    _default_jobs = None if jobs is None else _normalize(jobs)
-
-
 def _normalize(jobs: int) -> int:
     jobs = int(jobs)
     if jobs == 0:  # one worker per core
@@ -179,8 +170,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve an effective worker count (see module docstring)."""
     if jobs is not None:
         return _normalize(jobs)
-    if _default_jobs is not None:
-        return _default_jobs
     env = os.environ.get("REPRO_JOBS", "").strip()
     if env:
         try:
@@ -443,6 +432,7 @@ def run_points(
         if not pending:
             break
         last_round = attempt == budget + 1
+        round_points = pending
         from_pool = n_jobs > 1 and len(pending) > 1
         if from_pool:
             outcomes = _map_parallel(pending, n_jobs, attempt, deadline, rss)
@@ -452,7 +442,8 @@ def run_points(
                 for p in pending
             }
         pending = []
-        for p, out in outcomes.items():
+        for p in round_points:
+            out = outcomes[p]
             if isinstance(out, RunResult):
                 if from_pool:
                     # the worker wrote the disk layer; install the result
@@ -513,9 +504,12 @@ def _map_parallel(
     than the points already running left to drain.
 
     Exceptions are normally caught *inside* the worker; the ``except``
-    here only fires for infrastructure-level failures (a worker killed
-    by the OS, an unpicklable result, a broken pool) — and still maps
-    them onto the individual point rather than aborting the batch.
+    clauses here only fire for infrastructure-level failures (a worker
+    killed by the OS, an unpicklable result, a broken pool) — and still
+    map them onto the individual point rather than aborting the batch.
+    A broken pool refuses every later submission, so the rest of the
+    queue fails at once and goes to the next retry round, which starts
+    a fresh pool.
 
     On ``KeyboardInterrupt`` the interrupt is re-raised; leaving the
     pool's ``with`` block then waits for the points already running,
@@ -530,10 +524,16 @@ def _map_parallel(
         running: Dict[Future, Point] = {}
 
         def submit_next() -> None:
-            p = next(queue, None)
-            if p is not None:
-                fut = pool.submit(_compute_point_guarded, p, attempts, deadline_s, rss_mb)
+            for p in queue:
+                try:
+                    fut = pool.submit(
+                        _compute_point_guarded, p, attempts, deadline_s, rss_mb
+                    )
+                except Exception as exc:  # noqa: BLE001 - a broken pool
+                    outcomes[p] = _capture_failure(p, exc, attempts)
+                    continue
                 running[fut] = p
+                return
 
         for _ in range(workers):
             submit_next()

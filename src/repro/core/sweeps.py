@@ -44,7 +44,7 @@ def clear_caches(disk: bool = False) -> None:
 
 
 def cached_trace(
-    name: str, scale: float, page_size: int, seed: int, n_procs: int = 16
+    name: str, scale: float, page_size: int, seed: int, n_procs: int
 ) -> AppTrace:
     key = (name, scale, page_size, seed, n_procs)
     trace = _TRACE_CACHE.get(key)

@@ -33,7 +33,7 @@ from repro.experiments import (
     protocol_processing,
     rdma_regime,
     reliability,
-    sweep_figures,
+    swept_params,
     table02_events,
     table03_slowdowns,
     table04_attribution,
@@ -51,18 +51,18 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "table02": _of(table02_events),
     "figure03": Experiment(table02_events.grid, figure03_messages.render),
     "figure04": Experiment(table02_events.grid, figure04_bytes.render),
-    "figure05": sweep_figures.experiment("figure05"),
+    "figure05": swept_params.experiment("figure05"),
     "figure05b": correlations.experiment("figure05b"),
-    "figure06": sweep_figures.experiment("figure06"),
-    "figure07": sweep_figures.experiment("figure07"),
+    "figure06": swept_params.experiment("figure06"),
+    "figure07": swept_params.experiment("figure07"),
     "figure08": correlations.experiment("figure08"),
-    "figure09": sweep_figures.experiment("figure09"),
+    "figure09": swept_params.experiment("figure09"),
     "figure10": correlations.experiment("figure10"),
-    "figure11": sweep_figures.experiment("figure11"),
+    "figure11": swept_params.experiment("figure11"),
     "table03": _of(table03_slowdowns),
     "table04": _of(table04_speedups),
-    "figure12": sweep_figures.experiment("figure12"),
-    "figure13": sweep_figures.experiment("figure13"),
+    "figure12": swept_params.experiment("figure12"),
+    "figure13": swept_params.experiment("figure13"),
     "section5-uninode": Experiment(
         interrupt_variants.grid_uninode, interrupt_variants.render_uninode
     ),

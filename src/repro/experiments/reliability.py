@@ -36,8 +36,8 @@ def _cells(drops: Sequence[float], timeouts: Sequence[int]):
     ]
 
 
-def _config(protocol: str, drop: float, timeout: int) -> ClusterConfig:
-    base = ClusterConfig(protocol=protocol)
+def _config(drop: float, timeout: int) -> ClusterConfig:
+    base = ClusterConfig()
     if drop == 0.0:
         return base  # shared fault-free baseline point
     return base.with_faults(drop_prob=drop, retry_timeout=timeout)
@@ -46,11 +46,10 @@ def _config(protocol: str, drop: float, timeout: int) -> ClusterConfig:
 def grid(
     scale: float,
     apps: Apps,
-    protocol: str = "hlrc",
     drops: Sequence[float] = DROP_SWEEP,
     timeouts: Sequence[int] = TIMEOUT_SWEEP,
 ) -> Grid:
-    configs = [_config(protocol, *cell) for cell in _cells(drops, timeouts)]
+    configs = [_config(*cell) for cell in _cells(drops, timeouts)]
     return product_grid(pick_apps(apps), scale, configs)
 
 
@@ -58,7 +57,6 @@ def render(
     scale: float,
     apps: Apps,
     results: Results,
-    protocol: str = "hlrc",
     drops: Sequence[float] = DROP_SWEEP,
     timeouts: Sequence[int] = TIMEOUT_SWEEP,
 ) -> ExperimentOutput:
@@ -74,7 +72,7 @@ def render(
         baseline = None
         cols = []
         for drop, timeout in cells:
-            r = results[name, scale, _config(protocol, drop, timeout)]
+            r = results[name, scale, _config(drop, timeout)]
             retx = int(r.meta.get("retransmits", 0.0))
             # string cell keys so ExperimentOutput.data stays JSON-serializable
             per_cell[f"drop={drop:g},timeout={timeout}"] = {
@@ -97,7 +95,7 @@ def render(
         data[name] = per_cell
     return ExperimentOutput(
         experiment_id="reliability",
-        title=f"Speedup under packet loss ({protocol.upper()}, "
+        title="Speedup under packet loss (HLRC, "
         "drop probability x retransmit timeout)",
         headers=headers,
         rows=rows,

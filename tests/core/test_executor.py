@@ -8,12 +8,8 @@ import pytest
 from repro.arch.params import HOST_OVERHEAD_SWEEP
 from repro.core import runcache
 from repro.core.config import ClusterConfig
-from repro.core.executor import (
-    Point,
-    resolve_jobs,
-    run_points,
-    set_default_jobs,
-)
+from repro.core import executor
+from repro.core.executor import GridExecutionError, Point, resolve_jobs, run_points
 from repro.core.sweeps import cached_lookup, clear_caches, run_apps, sweep_comm_param
 
 #: a small 3-app x 3-point grid (distinct interrupt costs force real runs)
@@ -112,12 +108,6 @@ def test_resolve_jobs_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "5")
     assert resolve_jobs() == 5
     assert resolve_jobs(2) == 2  # explicit beats env
-    set_default_jobs(7)
-    try:
-        assert resolve_jobs() == 7  # default beats env
-        assert resolve_jobs(2) == 2  # explicit still wins
-    finally:
-        set_default_jobs(None)
     assert resolve_jobs(0) >= 1  # 0 = all cores
 
 
@@ -183,3 +173,29 @@ def test_interrupt_drains_only_the_running_points(fresh, monkeypatch):
     finally:
         timer.cancel()
     assert len(list(runcache.disk_cache().entries())) <= 2
+
+
+def test_crashed_worker_fails_points_instead_of_aborting(fresh, monkeypatch):
+    """A worker that dies outright breaks the pool; the points it takes
+    down fail and are retried in a fresh pool, and the grid still ends
+    in a GridExecutionError, never a bare BrokenProcessPool."""
+    import os
+
+    compute = executor._compute_point
+    parent = os.getpid()
+
+    def crash_on_lu(point):
+        if point.app == "lu":
+            if os.getpid() != parent:
+                os._exit(1)
+            raise RuntimeError("lu run in-process")  # never kill the test
+        return compute(point)
+
+    # pool workers fork from this process, so they inherit the patch
+    monkeypatch.setattr(executor, "_compute_point", crash_on_lu)
+    grid = [("lu", GRID_SCALE, ClusterConfig())] + _grid()
+    with pytest.raises(GridExecutionError) as info:
+        run_points(grid, jobs=2, retries=1)
+    failed = {f.point.app for f in info.value.failures}
+    assert "lu" in failed
+    assert all(f.attempts == 2 for f in info.value.failures)

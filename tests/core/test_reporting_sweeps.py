@@ -50,10 +50,10 @@ def test_format_percent():
 # --------------------------------------------------------------------- #
 def test_cached_trace_reuses_object():
     clear_caches()
-    a = cached_trace("lu", 0.2, 4096, 42)
-    b = cached_trace("lu", 0.2, 4096, 42)
+    a = cached_trace("lu", 0.2, 4096, 42, 16)
+    b = cached_trace("lu", 0.2, 4096, 42, 16)
     assert a is b
-    c = cached_trace("lu", 0.2, 8192, 42)
+    c = cached_trace("lu", 0.2, 8192, 42, 16)
     assert c is not a
 
 
