@@ -216,24 +216,8 @@ def main(argv=None) -> int:
         help="also run the happens-before conformance oracle on every "
         "point (digests must be unchanged; any violation fails)",
     )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="append the grid's digests to this result store's "
-        "golden_history table (deduplicated per model version + digest), "
-        "so `repro report diff --model-version A B` can compare versions "
-        "without any checkout of the old code",
-    )
     args = parser.parse_args(argv)
     points, oracle_failures = run_grid(perturb=args.perturb, verify=args.verify)
-    if args.store and not args.perturb:
-        from repro.core.store import ResultStore
-
-        added = ResultStore(args.store).append_golden(
-            points, source="golden_regression"
-        )
-        print(f"golden history: {added} new digest row(s) -> {args.store}")
     if oracle_failures:
         print("conformance oracle FAILED:")
         for tag, violations in oracle_failures:

@@ -22,9 +22,8 @@ Commands
     Query the columnar result store (:mod:`repro.core.store`,
     ``results/store.sqlite``): render a stored figure/table without
     re-simulating (``report figure01``), migrate committed outputs and
-    cache records in (``report ingest``), compare model versions from
-    history rows (``report diff --model-version 3 4``), show bench
-    trends (``report trend``), or export tables (``report export``).
+    cache records in (``report ingest``), or export tables
+    (``report export``).
 
 ``sweep`` and ``experiment`` accept ``--jobs N`` to fan independent
 simulation points across a process pool (0 = all cores).  Every finished
@@ -454,15 +453,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-#: bench-history keys worth printing per benchmark kind (mirrors the
-#: gate/warn tables in scripts/bench_compare.py)
-_TREND_KEYS = {
-    "sweep": ("serial_cold_s", "parallel_cold_s", "parallel_warm_s"),
-    "engine": ("optimized_ns_per_event", "reference_ns_per_event"),
-}
-
 #: report actions; any other target is an experiment id to render
-_REPORT_ACTIONS = ("list", "stats", "ingest", "diff", "trend", "speedups", "export")
+_REPORT_ACTIONS = ("list", "stats", "ingest", "speedups", "export")
 
 
 def _report_render(store, args: argparse.Namespace) -> int:
@@ -545,76 +537,6 @@ def _report_ingest(store, args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_diff(store, args: argparse.Namespace) -> int:
-    if not args.model_version:
-        print(
-            "error: diff needs --model-version OLD NEW", file=sys.stderr
-        )
-        return 2
-    old, new = args.model_version
-    report = store.diff_model_versions(old, new)
-    if report["golden"]:
-        rows = [
-            [g["tag"], g["status"], g["old_cycles"] or "-", g["new_cycles"] or "-"]
-            for g in report["golden"]
-        ]
-        print(format_table(
-            ["grid point", "digest", f"cycles v{old}", f"cycles v{new}"],
-            rows, title=f"Golden digests: model v{old} vs v{new}"))
-        changed = sum(1 for g in report["golden"] if g["status"] != "same")
-        print(f"\n{changed} of {len(report['golden'])} digest(s) differ")
-    else:
-        print(f"no golden history for model versions {old}/{new}")
-    if report["speedups"]:
-        rows = []
-        for s in report["speedups"]:
-            delta = "-"
-            if s["old_mean"] and s["new_mean"]:
-                delta = f"{(s['new_mean'] - s['old_mean']) / s['old_mean']:+.1%}"
-            rows.append([
-                s["app"], s["protocol"] or "-",
-                "-" if s["old_mean"] is None else round(s["old_mean"], 2),
-                "-" if s["new_mean"] is None else round(s["new_mean"], 2),
-                delta, s["old_points"], s["new_points"],
-            ])
-        print()
-        print(format_table(
-            ["app", "protocol", f"mean v{old}", f"mean v{new}", "delta",
-             f"runs v{old}", f"runs v{new}"],
-            rows, title="Mean speedups per (app, protocol)"))
-    return 0
-
-
-def _report_trend(store, args: argparse.Namespace) -> int:
-    trend = store.bench_trend(args.kind, last=args.last)
-    if not trend:
-        print(f"no bench history of kind {args.kind!r} in {store.path}")
-        return 0
-    keys = [
-        k for k in _TREND_KEYS.get(args.kind, ())
-        if any(isinstance(r["payload"].get(k), (int, float)) for r in trend)
-    ]
-    rows = []
-    for r in trend:
-        import time as _time
-
-        stamp = _time.strftime(
-            "%Y-%m-%d %H:%M", _time.gmtime(r["recorded_unix"] or 0)
-        )
-        rows.append(
-            [r["id"], stamp, r["model_version"], r["source"] or "-"]
-            + [
-                "-" if not isinstance(r["payload"].get(k), (int, float))
-                else round(r["payload"][k], 4)
-                for k in keys
-            ]
-        )
-    print(format_table(
-        ["row", "recorded (UTC)", "model", "source"] + list(keys),
-        rows, title=f"Bench history: {args.kind} (last {len(trend)})"))
-    return 0
-
-
 def _report_speedups(store, args: argparse.Namespace) -> int:
     rows_data = store.speedups(
         app=args.app, protocol=args.protocol, scale=args.scale
@@ -650,7 +572,7 @@ def _report_export(store, args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Query the columnar result store (figures, history, exports)."""
+    """Query the columnar result store (figures, speedups, exports)."""
     from repro.core.store import result_store
 
     store = result_store()
@@ -673,9 +595,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 print("no stored experiment artifacts")
             st = store.stats()
             print(
-                f"\n{st['runs']} run(s), {st['bench_rows']} bench row(s), "
-                f"{st['golden_rows']} golden row(s) in {st['path']} "
-                f"(model versions: "
+                f"\n{st['runs']} run(s) in {st['path']} (model versions: "
                 f"{', '.join(map(str, st['model_versions'])) or 'none'})"
             )
             print("\nrender one with: python -m repro report <experiment>")
@@ -686,10 +606,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 0
         if target == "ingest":
             return _report_ingest(store, args)
-        if target == "diff":
-            return _report_diff(store, args)
-        if target == "trend":
-            return _report_trend(store, args)
         if target == "speedups":
             return _report_speedups(store, args)
         if target == "export":
@@ -785,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "report",
         help="query the columnar result store: render stored figures, "
-        "diff model versions, bench trends, exports (no simulation)",
+        "ingest committed outputs, exports (no simulation)",
     )
     p_rep.add_argument(
         "target",
@@ -805,17 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--runcache", action="store_true",
         help="ingest: migrate readable run-cache records into the store",
-    )
-    p_rep.add_argument(
-        "--model-version", nargs=2, type=int, default=None,
-        metavar=("OLD", "NEW"), help="diff: the two model versions to compare",
-    )
-    p_rep.add_argument(
-        "--kind", choices=sorted(_TREND_KEYS), default="sweep",
-        help="trend: bench history kind (default: sweep)",
-    )
-    p_rep.add_argument(
-        "--last", type=int, default=10, help="trend: rows to show (default 10)"
     )
     p_rep.add_argument("--app", default=None, help="speedups: filter by app")
     p_rep.add_argument(

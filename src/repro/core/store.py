@@ -4,9 +4,8 @@ Per-sweep JSON/text blobs do not scale to a fleet-sized result corpus:
 regenerating a paper figure or comparing two ``MODEL_VERSION``s from
 ``results/*.json`` means re-simulation or file spelunking.  This module
 is the append-only system of record for *completed* results — every
-simulation point, every driver artifact, every bench run and golden
-digest — stored columnar in one sqlite database so those questions
-become queries.
+simulation point and every driver artifact — stored columnar in one
+sqlite database so those questions become queries.
 
 Write side (commands)
 ---------------------
@@ -20,10 +19,6 @@ NULL; only ``repro report ingest --runcache`` tags one).  ``ingest_artifact`` ap
 experiment table (``repro experiment`` / ``run_all_experiments.py``
 outputs land here; ``repro report ingest`` migrates the committed
 ``results/*.txt``/``*.json`` pairs and the ``.runcache``).
-``append_bench`` / ``append_golden`` give ``scripts/bench_compare.py``
-and ``scripts/golden_regression.py`` durable history rows, making the
-``BENCH_*.json`` files one export format rather than the source of
-truth.
 
 Read side (materialized views)
 ------------------------------
@@ -125,24 +120,6 @@ CREATE TABLE IF NOT EXISTS artifacts (
     data          TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_artifacts_id ON artifacts (experiment_id, scale);
-CREATE TABLE IF NOT EXISTS bench_history (
-    id            INTEGER PRIMARY KEY AUTOINCREMENT,
-    kind          TEXT NOT NULL,
-    recorded_unix REAL,
-    model_version INTEGER,
-    source        TEXT,
-    payload       TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS golden_history (
-    id            INTEGER PRIMARY KEY AUTOINCREMENT,
-    recorded_unix REAL,
-    model_version INTEGER,
-    tag           TEXT NOT NULL,
-    digest        TEXT NOT NULL,
-    total_cycles  INTEGER,
-    source        TEXT
-);
-CREATE INDEX IF NOT EXISTS idx_golden_mv ON golden_history (model_version, tag);
 CREATE TABLE IF NOT EXISTS view_speedups (
     key            TEXT NOT NULL,
     fidelity       TEXT NOT NULL DEFAULT 'des',
@@ -232,7 +209,7 @@ _MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {1: _migrate_v1}
 
 
 class ResultStore:
-    """One sqlite database of results, artifacts and CI history rows."""
+    """One sqlite database of results and experiment artifacts."""
 
     def __init__(self, path: os.PathLike) -> None:
         self.path = pathlib.Path(path)
@@ -461,7 +438,7 @@ class ResultStore:
         )
 
     # ------------------------------------------------------------------ #
-    # write side: artifacts + CI history
+    # write side: artifacts
     # ------------------------------------------------------------------ #
     def ingest_artifact(
         self,
@@ -501,63 +478,8 @@ class ResultStore:
             conn.commit()
         return int(cur.lastrowid or 0)
 
-    def append_bench(
-        self, kind: str, payload: dict, source: str = "bench"
-    ) -> int:
-        from repro.core.runcache import MODEL_VERSION
-
-        conn = self._connect()
-        with file_lock(self._lock_path):
-            cur = conn.execute(
-                "INSERT INTO bench_history "
-                "(kind, recorded_unix, model_version, source, payload) "
-                "VALUES (?,?,?,?,?)",
-                (kind, time.time(), MODEL_VERSION, source, _json_dumps(payload)),
-            )
-            conn.commit()
-        return int(cur.lastrowid or 0)
-
-    def append_golden(
-        self,
-        points: Dict[str, Dict[str, Any]],
-        model_version: Optional[int] = None,
-        source: str = "golden",
-    ) -> int:
-        """Append one golden-grid snapshot (one row per grid tag).
-
-        Identical (model_version, tag, digest) rows are deduplicated so
-        a CI job re-checking an unchanged tree does not inflate history.
-        """
-        if model_version is None:
-            from repro.core.runcache import MODEL_VERSION
-
-            model_version = MODEL_VERSION
-        conn = self._connect()
-        added = 0
-        now = time.time()
-        with file_lock(self._lock_path):
-            for tag in sorted(points):
-                info = points[tag]
-                dup = conn.execute(
-                    "SELECT 1 FROM golden_history WHERE model_version=? AND "
-                    "tag=? AND digest=?",
-                    (model_version, tag, info["digest"]),
-                ).fetchone()
-                if dup:
-                    continue
-                conn.execute(
-                    "INSERT INTO golden_history "
-                    "(recorded_unix, model_version, tag, digest, total_cycles, "
-                    "source) VALUES (?,?,?,?,?,?)",
-                    (now, model_version, tag, info["digest"],
-                     info.get("total_cycles"), source),
-                )
-                added += 1
-            conn.commit()
-        return added
-
     # ------------------------------------------------------------------ #
-    # read side: queries over the materialized views + history
+    # read side: queries over the materialized views
     # ------------------------------------------------------------------ #
     def artifact(
         self, experiment_id: str, scale: Optional[float] = None
@@ -634,78 +556,6 @@ class ResultStore:
             for r in conn.execute(sql, args)
         }
 
-    def bench_trend(self, kind: str, last: int = 10) -> List[Dict[str, Any]]:
-        """The newest ``last`` bench payloads of one kind, oldest first."""
-        conn = self._connect()
-        rows = conn.execute(
-            "SELECT * FROM bench_history WHERE kind = ? ORDER BY id DESC LIMIT ?",
-            (kind, last),
-        ).fetchall()
-        out = []
-        for r in reversed(rows):
-            rec = dict(r)
-            rec["payload"] = json.loads(rec["payload"])
-            out.append(rec)
-        return out
-
-    def golden_digests(self, model_version: int) -> Dict[str, Dict[str, Any]]:
-        """Newest digest per tag recorded under one model version."""
-        conn = self._connect()
-        rows = conn.execute(
-            "SELECT tag, digest, total_cycles, MAX(id) FROM golden_history "
-            "WHERE model_version = ? GROUP BY tag",
-            (model_version,),
-        )
-        return {
-            r["tag"]: {"digest": r["digest"], "total_cycles": r["total_cycles"]}
-            for r in rows
-        }
-
-    def diff_model_versions(self, old: int, new: int) -> Dict[str, Any]:
-        """Compare two model versions entirely from store rows.
-
-        Golden digests align per grid tag; the speedup view aggregates
-        per (app, protocol) mean speedup.  No simulation involved.
-        """
-        old_golden = self.golden_digests(old)
-        new_golden = self.golden_digests(new)
-        golden_rows = []
-        for tag in sorted(set(old_golden) | set(new_golden)):
-            a, b = old_golden.get(tag), new_golden.get(tag)
-            if a is None or b is None:
-                status = "only-v%d" % (new if a is None else old)
-            elif a["digest"] == b["digest"]:
-                status = "same"
-            else:
-                status = "changed"
-            golden_rows.append({
-                "tag": tag,
-                "status": status,
-                "old_cycles": a["total_cycles"] if a else None,
-                "new_cycles": b["total_cycles"] if b else None,
-            })
-        conn = self._connect()
-        speed_rows = []
-        sql = (
-            "SELECT app, protocol, AVG(speedup) AS mean_speedup, COUNT(*) AS n "
-            "FROM view_speedups WHERE model_version = ? "
-            "AND typeof(speedup) IN ('integer','real') GROUP BY app, protocol"
-        )
-        olds = {(r["app"], r["protocol"]): r for r in conn.execute(sql, (old,))}
-        news = {(r["app"], r["protocol"]): r for r in conn.execute(sql, (new,))}
-        for group in sorted(set(olds) | set(news), key=repr):
-            a, b = olds.get(group), news.get(group)
-            speed_rows.append({
-                "app": group[0],
-                "protocol": group[1],
-                "old_mean": a["mean_speedup"] if a else None,
-                "old_points": a["n"] if a else 0,
-                "new_mean": b["mean_speedup"] if b else None,
-                "new_points": b["n"] if b else 0,
-            })
-        return {"old": old, "new": new, "golden": golden_rows,
-                "speedups": speed_rows}
-
     def stats(self) -> Dict[str, Any]:
         conn = self._connect()
 
@@ -719,8 +569,6 @@ class ResultStore:
             "runs": count("runs"),
             "metrics": count("run_metrics"),
             "artifacts": count("artifacts"),
-            "bench_rows": count("bench_history"),
-            "golden_rows": count("golden_history"),
             "model_versions": [
                 int(r[0]) for r in conn.execute(
                     "SELECT DISTINCT model_version FROM runs ORDER BY 1"
@@ -732,7 +580,7 @@ class ResultStore:
     # export: the store is the source of truth; files are projections
     # ------------------------------------------------------------------ #
     _EXPORT_TABLES = (
-        "runs", "run_metrics", "artifacts", "bench_history", "golden_history",
+        "runs", "run_metrics", "artifacts",
         "view_speedups", "view_phases", "view_hotspots", "view_slowdowns",
     )
 

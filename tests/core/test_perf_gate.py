@@ -1,0 +1,114 @@
+"""The same-runner perf gate, driven over two stub checkouts."""
+
+import importlib.util
+import json
+import pathlib
+import shutil
+import sys
+
+import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+SCRIPT = REPO_ROOT / "scripts" / "perf_gate.py"
+DECLARED = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+
+BASE = {
+    "points_per_s": 10.0,
+    "sim_events_per_s": 100000.0,
+    "peak_rss_mb": 50.0,
+    "ok_frac": 1.0,
+    "setup_s": 4.0,
+}
+
+RUN_PY = """\
+import json
+print(json.dumps({"diagnostics": {"stub": True}}))
+print(%r)
+"""
+
+# long enough that interpreter start-up jitter stays well inside the bound
+RUN_ALL_PY = """\
+import time
+time.sleep(0.2)
+"""
+
+
+@pytest.fixture(scope="module")
+def gate():
+    spec = importlib.util.spec_from_file_location("perf_gate", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("perf_gate", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkout(root, correct=True, **overrides):
+    """A fake checkout whose perfbench prints fixed metrics."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "scripts").mkdir()
+    metrics = {name: {"value": value, "unit": "-"}
+               for name, value in dict(BASE, **overrides).items()}
+    line = json.dumps({"correct": correct, "attempted": 70,
+                       "failed": 0 if correct else 1, "metrics": metrics})
+    (root / "perfbench" / "run.py").write_text(RUN_PY % line)
+    (root / "scripts" / "run_all_experiments.py").write_text(RUN_ALL_PY)
+    shutil.copy(REPO_ROOT / "BENCHMARK.json", root / "BENCHMARK.json")
+    return root
+
+
+def _run(gate, tmp_path, monkeypatch, **change):
+    parent = _checkout(tmp_path / "parent")
+    monkeypatch.setattr(gate, "REPO", _checkout(tmp_path / "change", **change))
+    monkeypatch.chdir(tmp_path)
+    rc = gate.main([str(parent)])
+    return rc, json.loads((tmp_path / "perf_gate.json").read_text())
+
+
+def _verdicts(report):
+    return {(r["workload"], r["metric"]): r["verdict"] for r in report["rows"]}
+
+
+def test_equal_sides_pass(gate, tmp_path, monkeypatch, capsys):
+    rc, report = _run(gate, tmp_path, monkeypatch)
+    assert rc == 0
+    assert report["passed"] and report["failures"] == []
+    assert set(_verdicts(report).values()) == {"ok"}
+    pool = next(r for r in report["rows"] if r["metric"] == "pool_cold_s")
+    throughput = next(m for m in DECLARED["end_to_end"] if m["name"] == "points_per_s")
+    assert (pool["workload"], pool["better"], pool["bound"]) == (
+        "pool_cold", "lower", throughput["bound"])
+    # every workload ran PAIRS times on each side
+    assert all(len(runs) == gate.PAIRS for runs in report["runs"].values())
+    assert "perf gate passed" in capsys.readouterr().out
+
+
+def test_lower_is_better_metric_30pct_worse_fails(gate, tmp_path, monkeypatch):
+    rc, report = _run(gate, tmp_path, monkeypatch, setup_s=BASE["setup_s"] * 1.3)
+    assert rc == 1
+    verdicts = _verdicts(report)
+    for workload in DECLARED["workloads"]:
+        assert verdicts[workload["name"], "setup_s"] == "FAIL"
+        assert verdicts[workload["name"], "points_per_s"] == "ok"
+
+
+def test_higher_is_better_metric_20pct_worse_passes(gate, tmp_path, monkeypatch):
+    rc, report = _run(gate, tmp_path, monkeypatch,
+                      points_per_s=BASE["points_per_s"] * 0.8)
+    assert rc == 0, report["failures"]
+    row = next(r for r in report["rows"] if r["metric"] == "points_per_s")
+    assert row["worse_by"] == pytest.approx(0.2)
+
+
+def test_incorrect_change_fails(gate, tmp_path, monkeypatch):
+    rc, report = _run(gate, tmp_path, monkeypatch, correct=False)
+    assert rc == 1
+    assert any("change run" in f and "correct=False" in f for f in report["failures"])
+
+
+def test_every_declared_metric_is_reported(gate, tmp_path, monkeypatch, capsys):
+    _, report = _run(gate, tmp_path, monkeypatch)
+    table = capsys.readouterr().out
+    reported = {r["metric"] for r in report["rows"]}
+    for metric in DECLARED["end_to_end"]:
+        assert metric["name"] in reported
+        assert metric["name"] in table

@@ -32,6 +32,9 @@ def isolated_store(tmp_path, monkeypatch):
 @pytest.fixture
 def poisoned_simulator(monkeypatch):
     """Make every route into the simulator explode on contact."""
+    # `report ingest` imports repro.experiments, which binds run_points at
+    # import: import it first so it keeps the real one for later tests.
+    import repro.experiments  # noqa: F401
 
     def boom(*a, **kw):
         raise AssertionError("report path must not simulate")
@@ -103,27 +106,6 @@ def test_report_list_and_stats(isolated_store, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "schema_version" in out
-
-
-def test_report_diff_requires_versions(isolated_store, capsys):
-    rc = cli.main(["report", "diff"])
-    assert rc == 2
-    assert "--model-version" in capsys.readouterr().err
-
-
-def test_report_diff_from_history(isolated_store, capsys):
-    from repro.core.store import result_store
-
-    store = result_store()
-    store.append_golden({"fft/hlrc/clean": {"digest": "a", "total_cycles": 1}},
-                        model_version=3)
-    store.append_golden({"fft/hlrc/clean": {"digest": "b", "total_cycles": 2}},
-                        model_version=4)
-    rc = cli.main(["report", "diff", "--model-version", "3", "4"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "changed" in out
-    assert "1 of 1 digest(s) differ" in out
 
 
 def test_report_export_csv(isolated_store, tmp_path, capsys):

@@ -165,37 +165,6 @@ def test_artifact_history_serves_newest(store):
     assert store.artifact_ids() == [("figure01", 0.05, 1), ("figure01", 1.0, 2)]
 
 
-def test_bench_history_trend_order(store):
-    for i in range(3):
-        store.append_bench("sweep", {"serial_cold_s": 10.0 + i}, source="t")
-    trend = store.bench_trend("sweep", last=2)
-    assert [r["payload"]["serial_cold_s"] for r in trend] == [11.0, 12.0]
-    assert store.bench_trend("engine") == []
-
-
-def test_golden_history_dedup_and_diff(store):
-    points_v1 = {
-        "fft/hlrc/clean": {"digest": "aaa", "total_cycles": 100},
-        "fft/aurc/clean": {"digest": "bbb", "total_cycles": 200},
-    }
-    assert store.append_golden(points_v1, model_version=1) == 2
-    # re-recording the identical grid adds nothing
-    assert store.append_golden(points_v1, model_version=1) == 0
-    points_v2 = {
-        "fft/hlrc/clean": {"digest": "aaa", "total_cycles": 100},  # unchanged
-        "fft/aurc/clean": {"digest": "ccc", "total_cycles": 222},  # moved
-        "lu/hlrc/clean": {"digest": "ddd", "total_cycles": 50},  # new point
-    }
-    assert store.append_golden(points_v2, model_version=2) == 3
-    diff = store.diff_model_versions(1, 2)
-    status = {g["tag"]: g["status"] for g in diff["golden"]}
-    assert status == {
-        "fft/hlrc/clean": "same",
-        "fft/aurc/clean": "changed",
-        "lu/hlrc/clean": "only-v2",
-    }
-
-
 # --------------------------------------------------------------------- #
 # schema versioning
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.process import ProcessCrash
 from tests.protocol.conftest import build, run_workers
 
 # 2 nodes x 2 procs; lock L homes at node L % 2.
@@ -162,17 +163,9 @@ def test_fifo_service_under_cross_node_contention():
     assert order[0] == "n0a"
 
 
-@given(
-    pattern=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(100, 5000)),
-        min_size=1,
-        max_size=12,
-    )
-)
-@settings(max_examples=25, deadline=None)
-def test_mutual_exclusion_property(pattern):
-    """Property: whatever the acquire pattern, no two processors ever hold
-    the same lock simultaneously, and every acquire eventually completes."""
+def _check_mutual_exclusion(pattern):
+    """Run one (proc, lock, hold) acquire pattern: no two processors ever
+    hold the same lock simultaneously, and every acquire completes."""
     cluster = build()
     holders = {}
     violations = []
@@ -198,3 +191,40 @@ def test_mutual_exclusion_property(pattern):
     cluster.sim.run()
     assert violations == []
     assert len(completed) == len(pattern)
+
+
+@given(
+    pattern=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(100, 5000)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_mutual_exclusion_property(pattern):
+    """Property: whatever the acquire pattern, no two processors ever hold
+    the same lock simultaneously, and every acquire eventually completes."""
+    _check_mutual_exclusion(pattern)
+
+
+# Known race in LockManager.release: after its smp_sync yield it acts on
+# the token without checking the token is still at the releasing node, so
+# a handler that granted the token away meanwhile makes the release grant
+# a second token or send a TOKEN_RETURN to its own node.  The fix moves
+# simulated results (it needs a MODEL_VERSION bump and new benchmark
+# reference digests), so these patterns stay pinned as strict xfails
+# until it lands; the fix turns them into passes and forces the marker out.
+@pytest.mark.xfail(strict=True, raises=ProcessCrash,
+                   reason="LockManager.release acts on a token granted away during its yield")
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        [(0, 2, 100), (0, 2, 100), (0, 2, 901), (0, 2, 1800), (2, 2, 100), (2, 0, 100)],
+        [(0, 2, 100), (0, 2, 100), (0, 2, 901), (2, 2, 100), (2, 2, 1901), (2, 0, 100),
+         (2, 2, 100)],
+        [(0, 0, 100), (0, 0, 1201), (2, 0, 1701), (2, 0, 100), (2, 0, 100), (2, 2, 100)],
+    ],
+    ids=["return-to-self-lock2", "release-held-by-none", "return-to-self-lock0"],
+)
+def test_release_after_token_moved(pattern):
+    _check_mutual_exclusion(pattern)
