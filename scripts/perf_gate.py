@@ -9,12 +9,15 @@ adds one ``pool_cold_s`` row: the wall time of a cold
 ``scripts/run_all_experiments.py --scale 0.05 --jobs 2``, which is the
 only measured run that goes through the process pool.
 
-The gate fails when a run exits non-zero, when a change run prints
-``"correct"`` other than ``true``, or when the change's median of an
-``end_to_end`` metric is worse than the parent's by more than that
-metric's ``bound`` in its ``better`` direction.  ``pool_cold_s`` is
-lower-is-better at the ``points_per_s`` bound.  Names, bounds and
-directions are read from this checkout's ``BENCHMARK.json``.
+Each row shows both medians and their ``change/parent`` ratio, so a
+claimed gain can be read straight from the table (above 1 is more of
+the metric, whichever direction is better).  The gate fails when a run
+exits non-zero, when a change run prints ``"correct"`` other than
+``true``, or when the change's median of an ``end_to_end`` metric is
+worse than the parent's by more than that metric's ``bound`` in its
+``better`` direction.  ``pool_cold_s`` is lower-is-better at the
+``points_per_s`` bound.  Names, bounds and directions are read from
+this checkout's ``BENCHMARK.json``.
 
 It prints one table and writes ``perf_gate.json`` to the working
 directory.  Exit status: 0 pass, 1 fail, 2 bad usage.
@@ -142,7 +145,7 @@ def compare(
         change = [r["metrics"][name] for r in runs[workload, "change"] if name in r["metrics"]]
         row = {"workload": workload, "metric": name, "better": metric["better"],
                "bound": metric["bound"], "parent": None, "change": None,
-               "worse_by": None, "verdict": "ok"}
+               "ratio": None, "worse_by": None, "verdict": "ok"}
         if change:
             row["change"] = statistics.median(change)
         if parent:
@@ -153,6 +156,8 @@ def compare(
         elif not parent:
             row["verdict"] = "new"
         else:
+            if row["parent"]:
+                row["ratio"] = row["change"] / row["parent"]
             row["worse_by"] = worse_by(row["parent"], row["change"], metric["better"])
             if row["worse_by"] > metric["bound"]:
                 row["verdict"] = "FAIL"
@@ -167,10 +172,11 @@ def print_table(rows: List[dict]) -> None:
         return "-" if value is None else format(value, spec)
 
     header = ("workload", "metric", "better", "bound", "parent", "change",
-              "worse by", "verdict")
+              "change/parent", "worse by", "verdict")
     lines = [header] + [
         (r["workload"], r["metric"], r["better"], fmt(r["bound"], ".0%"),
-         fmt(r["parent"]), fmt(r["change"]), fmt(r["worse_by"], "+.1%"), r["verdict"])
+         fmt(r["parent"]), fmt(r["change"]), fmt(r["ratio"], ".3f"),
+         fmt(r["worse_by"], "+.1%"), r["verdict"])
         for r in rows
     ]
     widths = [max(len(line[i]) for line in lines) for i in range(len(header))]

@@ -459,6 +459,15 @@ _REPORT_ACTIONS = ("list", "stats", "ingest", "speedups", "export")
 
 def _report_render(store, args: argparse.Namespace) -> int:
     """Serve one experiment's table from store rows — zero simulation."""
+    from repro.experiments import EXPERIMENTS
+
+    if args.target not in EXPERIMENTS:
+        print(
+            f"error: unknown report target {args.target!r}; actions: "
+            f"{', '.join(_REPORT_ACTIONS)}; experiments: {', '.join(EXPERIMENTS)}",
+            file=sys.stderr,
+        )
+        return 2
     artifact = store.artifact(args.target, scale=args.scale)
     if artifact is None:
         at = f" at scale {args.scale:g}" if args.scale is not None else ""

@@ -457,8 +457,9 @@ def run_points(
 
     # Every completed point lands in the columnar result store — the
     # sweep builds the longitudinal corpus as a side effect.  Cache hits
-    # ingest too (idempotent per content key) so migrated/old caches
-    # backfill; failures never block the grid (best-effort by contract).
+    # ingest too, so migrated/old caches backfill; re-ingesting a stored
+    # key takes no lock and writes nothing.  Failures never block the
+    # grid (best-effort by contract).
     _ingest_outcomes(unique, [resolved[p] for p in unique])
 
     failures = [r for r in resolved.values() if isinstance(r, PointFailure)]
@@ -473,9 +474,11 @@ def _ingest_outcomes(
 ) -> None:
     """Append a grid's successful outcomes to the result store.
 
-    ``points`` are distinct.
+    ``points`` are distinct.  Each key comes from the memo the cache
+    lookup filled, and points the store already holds are dropped by
+    one indexed read before any lock or write.
     """
-    from repro.core import runcache
+    from repro.core import sweeps
     from repro.core.store import ingest_quietly, result_store
 
     if result_store() is None:
@@ -483,7 +486,7 @@ def _ingest_outcomes(
     entries = []
     for p, out in zip(points, outcomes):
         if isinstance(out, RunResult):
-            key = runcache.content_key(p.app, p.scale, p.config)
+            key = sweeps.point_key(p.app, p.scale, p.config)
             entries.append((key, out, p.scale))
     if entries:
         ingest_quietly(entries)

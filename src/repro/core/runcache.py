@@ -76,22 +76,34 @@ QUARANTINE_DIRNAME = "quarantine"
 
 _LOCK_FILENAME = ".lock"
 
+
+def _encode(obj: object) -> object:
+    """``json.dumps`` fallback: a dataclass instance as its field dict
+    (what ``dataclasses.asdict`` gave, without its deep copy), anything
+    else as its ``repr``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return repr(obj)
+
+
 def content_key(app: str, scale: float, config: "ClusterConfig") -> str:
     """Stable content hash identifying one simulation point.
 
     The hash covers everything that determines the result — app name,
     scale, seed, and every field of the config (nested ``ArchParams`` and
     ``CommParams`` included) — plus :data:`MODEL_VERSION`.  It is stable
-    across processes and Python invocations (no reliance on ``hash()``).
+    across processes and Python invocations (no reliance on ``hash()``),
+    and its bytes must never change without a :data:`MODEL_VERSION`
+    bump: every record on disk is filed under one.
     """
     payload = {
         "model_version": MODEL_VERSION,
         "app": app,
         "scale": repr(float(scale)),
         "seed": config.seed,
-        "config": dataclasses.asdict(config),
+        "config": config,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_encode)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -31,13 +31,14 @@ group).  ``python -m repro report`` is the query client.
 
 Durability contract
 -------------------
-Appends are idempotent per primary key (re-ingesting a cached point is a
-no-op), serialized across processes by the same advisory lock the run
-cache uses (:mod:`repro.core.fslock`) on top of sqlite's own locking,
-and never allowed to break a sweep: the executor's hook downgrades any
-store failure to a logged warning.  Non-finite metric values survive the
-round-trip (sqlite would silently turn ``NaN`` into ``NULL``; they are
-stored as tagged text instead).  The schema carries a version and opens
+Appends are idempotent per primary key: re-ingesting a stored key is
+one indexed read that takes no lock and writes nothing.  New rows are
+serialized across processes by the same advisory lock the run cache
+uses (:mod:`repro.core.fslock`) on top of sqlite's own locking.  The
+store is never allowed to break a sweep: the executor's hook downgrades
+any store failure to a logged warning.  Non-finite metric values survive
+the round-trip (sqlite would silently turn ``NaN`` into ``NULL``; they
+are stored as tagged text instead).  The schema carries a version and opens
 of an older database run in-place migrations; a *newer* database is
 refused rather than guessed at.
 
@@ -72,6 +73,10 @@ DEFAULT_STORE_PATH = os.path.join("results", "store.sqlite")
 #:    primary key — an analytic serve must never shadow the DES row for
 #:    the same content hash).
 SCHEMA_VERSION = 2
+
+#: keys per membership read before an ingest (under sqlite's oldest
+#: default limit of 999 bound parameters)
+_KEYS_PER_SELECT = 500
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -300,11 +305,19 @@ class ResultStore:
         fidelity: str = "des",
     ) -> int:
         """Append a batch of ``(key, result, scale)`` in one locked
-        transaction; returns the number of genuinely new rows."""
+        transaction; returns the number of genuinely new rows.
+
+        Entries whose row is already stored are dropped first, by an
+        unlocked primary-key read: a batch of stored keys takes no lock,
+        renders no record and commits nothing.
+        """
         from repro.core.reporting import run_record
         from repro.core.runcache import MODEL_VERSION
 
         conn = self._connect()
+        entries = self._unstored(conn, list(entries), fidelity)
+        if not entries:
+            return 0
         fresh = 0
         now = time.time()
         with file_lock(self._lock_path):
@@ -337,12 +350,30 @@ class ResultStore:
                     ),
                 )
                 if not cur.rowcount:
-                    continue  # already ingested: views are current
+                    continue  # another process stored it since the read
                 fresh += 1
                 self._insert_metrics(conn, key, fidelity, result)
                 self._refresh_views_for(conn, key, fidelity, result, scale)
             conn.commit()
         return fresh
+
+    @staticmethod
+    def _unstored(
+        conn: sqlite3.Connection,
+        entries: List[Tuple[str, "RunResult", Optional[float]]],
+        fidelity: str,
+    ) -> List[Tuple[str, "RunResult", Optional[float]]]:
+        """The entries with no ``(key, fidelity)`` row yet."""
+        keys = [key for key, _, _ in entries]
+        stored: set = set()
+        for i in range(0, len(keys), _KEYS_PER_SELECT):
+            chunk = keys[i:i + _KEYS_PER_SELECT]
+            stored.update(row[0] for row in conn.execute(
+                f"SELECT key FROM runs WHERE fidelity = ? AND key IN "
+                f"({','.join('?' * len(chunk))})",
+                [fidelity, *chunk],
+            ))
+        return [entry for entry in entries if entry[0] not in stored]
 
     def _insert_metrics(
         self, conn: sqlite3.Connection, key: str, fidelity: str, result: "RunResult"

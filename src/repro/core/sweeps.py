@@ -25,6 +25,8 @@ from repro.core.run import run_simulation
 
 _RUN_CACHE: Dict[Tuple, RunResult] = {}
 _TRACE_CACHE: Dict[Tuple, AppTrace] = {}
+#: each point's run-cache content key, so a point pays for it once
+_KEY_CACHE: Dict[Tuple, str] = {}
 
 
 def clear_caches(disk: bool = False) -> None:
@@ -37,6 +39,7 @@ def clear_caches(disk: bool = False) -> None:
     """
     _RUN_CACHE.clear()
     _TRACE_CACHE.clear()
+    _KEY_CACHE.clear()
     if disk:
         cache = runcache.disk_cache()
         if cache is not None:
@@ -55,6 +58,17 @@ def cached_trace(
     return trace
 
 
+def point_key(name: str, scale: float, config: ClusterConfig) -> str:
+    """The point's :func:`repro.core.runcache.content_key`, memoized
+    until :func:`clear_caches`: lookup, store and result-store ingest
+    of one point share a single computation."""
+    key = (name, scale, config)
+    digest = _KEY_CACHE.get(key)
+    if digest is None:
+        digest = _KEY_CACHE[key] = runcache.content_key(name, scale, config)
+    return digest
+
+
 def cached_lookup(
     name: str, scale: float, config: ClusterConfig
 ) -> Optional[RunResult]:
@@ -69,7 +83,7 @@ def cached_lookup(
         return result
     disk = runcache.disk_cache()
     if disk is not None:
-        result = disk.get(runcache.content_key(name, scale, config))
+        result = disk.get(point_key(name, scale, config))
         if result is not None:
             _RUN_CACHE[key] = result
     return result
@@ -91,7 +105,7 @@ def cache_store(
     if disk:
         cache = runcache.disk_cache()
         if cache is not None:
-            cache.put(runcache.content_key(name, scale, config), result)
+            cache.put(point_key(name, scale, config), result)
 
 
 def cached_run(name: str, scale: float, config: ClusterConfig) -> RunResult:

@@ -97,6 +97,23 @@ def test_higher_is_better_metric_20pct_worse_passes(gate, tmp_path, monkeypatch)
     assert rc == 0, report["failures"]
     row = next(r for r in report["rows"] if r["metric"] == "points_per_s")
     assert row["worse_by"] == pytest.approx(0.2)
+    assert row["ratio"] == pytest.approx(0.8)
+
+
+def test_ratio_column_shows_a_gain(gate, tmp_path, monkeypatch, capsys):
+    rc, report = _run(gate, tmp_path, monkeypatch,
+                      points_per_s=BASE["points_per_s"] * 2.5)
+    assert rc == 0, report["failures"]
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert "change/parent" in header
+    gains = [line for line in lines if " points_per_s " in line]
+    assert len(gains) == len(DECLARED["workloads"])
+    assert all(" 2.500 " in line for line in gains)
+    for row in report["rows"]:
+        if row["metric"] == "points_per_s":
+            assert row["ratio"] == pytest.approx(2.5)
+        elif row["metric"] != "pool_cold_s":  # a wall time: only near 1
+            assert row["ratio"] == pytest.approx(1.0)
 
 
 def test_incorrect_change_fails(gate, tmp_path, monkeypatch):

@@ -90,6 +90,19 @@ def test_missing_artifact_is_a_clean_error(isolated_store, capsys):
     assert "repro report ingest" in captured.err
 
 
+def test_unknown_target_names_actions_and_experiments(isolated_store, capsys):
+    from repro.experiments import EXPERIMENTS
+
+    rc = cli.main(["report", "trend"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    (line,) = captured.err.splitlines()
+    assert "unknown report target 'trend'" in line
+    assert "speedups" in line and "figure01" in line
+    assert all(exp_id in line for exp_id in EXPERIMENTS)
+    assert "repro experiment" not in line
+
+
 def test_report_list_and_stats(isolated_store, capsys):
     rc = cli.main(["report"])
     out = capsys.readouterr().out

@@ -62,6 +62,22 @@ def test_content_key_stable_across_processes():
     assert outs == {content_key("fft", 0.5, ClusterConfig())}
 
 
+def test_content_key_bytes_are_pinned():
+    """Every record on disk is filed under its key: an encoder change that
+    moved these bytes would orphan every existing cache."""
+    assert content_key("fft", 0.5, ClusterConfig()) == (
+        "a07d866164029bb92c877eb019a434b9a4dfb9d15ee63f7647bca4ab4dcececa"
+    )
+    faulty = (
+        ClusterConfig()
+        .with_faults(drop_prob=0.02, dup_prob=0.02)
+        .with_comm(procs_per_node=2)
+    )
+    assert content_key("fft", 0.5, faulty) == (
+        "255c01275221ce60c30465d00a30231c3c81c38b8fd0e751f457a732cd3cc9ae"
+    )
+
+
 def test_content_key_changes_with_every_comm_field():
     base = ClusterConfig()
     base_key = content_key("fft", 0.5, base)
@@ -171,3 +187,26 @@ def test_disk_cache_can_be_disabled(tmp_path, monkeypatch):
     finally:
         runcache.reset_disk_cache()
         clear_caches()
+
+
+def test_warm_grid_computes_each_key_once(cache_dir, monkeypatch):
+    """A warm pass pays one key per point: lookup and store ingest share it."""
+    from repro.core.executor import run_points
+
+    grid = [
+        ("lu", 0.05, ClusterConfig().with_comm(interrupt_cost=c))
+        for c in (0, 500, 2000)
+    ]
+    cold = run_points(grid + grid[:1], jobs=1)
+    clear_caches()  # drop memory: the next pass is served from disk
+    calls = []
+    real = runcache.content_key
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runcache, "content_key", counting)
+    warm = run_points(grid + grid[:1], jobs=1)
+    assert warm == cold
+    assert len(calls) == len(grid)

@@ -101,6 +101,30 @@ def test_reingest_is_noop_and_fidelity_is_separate(store, results):
     assert len(des) == len(fast) == 1
 
 
+def test_reingest_of_a_stored_key_renders_and_writes_nothing(
+    store, results, monkeypatch
+):
+    r = results["hlrc"]
+    assert store.ingest_results([("k", r, SCALE)]) == 1
+
+    def forbidden(*args):
+        raise AssertionError("a stored key must take no lock and render nothing")
+
+    monkeypatch.setattr("repro.core.reporting.run_record", forbidden)
+    monkeypatch.setattr("repro.core.store.file_lock", forbidden)
+    assert store.ingest_results([("k", r, SCALE)]) == 0
+    assert store.stats()["runs"] == 1
+    monkeypatch.undo()
+
+    # a row deleted behind the store's back is backfilled by the next ingest
+    conn = sqlite3.connect(store.path)
+    conn.execute("DELETE FROM runs WHERE key='k'")
+    conn.commit()
+    conn.close()
+    assert store.ingest_results([("k", r, SCALE), ("k2", r, SCALE)]) == 2
+    assert store.stats()["runs"] == 2
+
+
 def test_slowdown_view_aggregates_per_group(store, results):
     r = results["hlrc"]
     slow = results["aurc"]
