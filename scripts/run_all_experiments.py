@@ -11,8 +11,7 @@ pass, fanned over ``--jobs N`` worker processes (0 = one per core), and
 then renders each table from the results.  A point several experiments
 share — e.g. the achievable baseline — is simulated once, and every
 point lands in the persistent disk cache (``results/.runcache/``), so a
-second regeneration at the same scale simulates nothing.  The legacy
-positional form ``run_all_experiments.py 1.0 results/`` still works.
+second regeneration at the same scale simulates nothing.
 
 SIGINT/SIGTERM stop the regeneration with exit code 130 and a one-line
 hint: rerun the same command.  Every finished simulation point is
@@ -72,16 +71,11 @@ def run_all(scale: float, out_dir: pathlib.Path, jobs=None, quiet: bool = False)
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "legacy",
-        nargs="*",
-        default=[],
-        metavar="SCALE [OUT_DIR]",
-        help="legacy positional form: scale followed by output directory",
+        "--scale", type=_scale_type, default=1.0, help="problem-size multiplier"
     )
     parser.add_argument(
-        "--scale", type=_scale_type, default=None, help="problem-size multiplier"
+        "--out", type=pathlib.Path, default=pathlib.Path("results"), help="output directory"
     )
-    parser.add_argument("--out", type=pathlib.Path, default=None, help="output directory")
     parser.add_argument(
         "--jobs",
         type=_jobs_type,
@@ -89,26 +83,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="worker processes for the simulation pass (default: REPRO_JOBS or 1; "
         "0 = all cores)",
     )
-    args = parser.parse_args(argv)
-    if len(args.legacy) > 2:
-        parser.error(
-            f"too many positional arguments {args.legacy[2:]}: "
-            "expected SCALE [OUT_DIR]"
-        )
-    if args.legacy:
-        try:
-            legacy_scale = _scale_type(args.legacy[0])
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
-        if args.scale is None:
-            args.scale = legacy_scale
-    if args.out is None and len(args.legacy) > 1:
-        args.out = pathlib.Path(args.legacy[1])
-    if args.scale is None:
-        args.scale = 1.0
-    if args.out is None:
-        args.out = pathlib.Path("results")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> None:

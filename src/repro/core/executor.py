@@ -23,18 +23,20 @@ oversized pool.
 
 Failure handling
 ----------------
-A grid run is an hour of work; one poisoned point must not discard the
-other 99.  Every point is submitted individually and its exception is
-captured *per point* (inside the worker when possible, around the future
-otherwise).  A crashed worker process breaks the pool, so it fails the
-rest of that round's points, and the retry round reruns them in a fresh
-pool.  Failed points are retried ``retries`` times (default 1, override with
-``REPRO_POINT_RETRIES``) before being recorded as a
-:class:`PointFailure`.  With ``strict=True`` (the default)
-:func:`run_points` finishes all in-flight work, then raises
-:class:`GridExecutionError` summarizing every failure; with
+Each grid gets one pass.  Every point is submitted individually and its
+exception is captured *per point* (inside the worker when possible,
+around the future otherwise), so one poisoned point never discards its
+siblings' work.  A crashed worker process breaks the pool, which fails
+every point not yet finished; nothing is retried.  With ``strict=True``
+(the default) :func:`run_points` finishes all in-flight work, then
+raises :class:`GridExecutionError` summarizing every failure; with
 ``strict=False`` it returns the ordered results with each failed point's
 slot holding its :class:`PointFailure` so callers can salvage the rest.
+Either way the successful points are cached, so after fixing the cause
+(or to retry a transient crash) rerun the same command: a full-scale
+regeneration is about a minute of simulation on two cores, and the
+rerun computes
+only what is missing.
 
 Interrupts
 ----------
@@ -45,14 +47,6 @@ holds at most one submitted point per worker, and those points finish
 and land in the cache before the interrupt propagates.  Rerunning the
 same command serves the finished points from the cache and yields
 bit-identical results; a SIGKILL costs at most the points in flight.
-
-Resource guards
----------------
-``deadline_s=`` / ``rss_mb=`` (or ``REPRO_POINT_DEADLINE_S`` /
-``REPRO_POINT_RSS_MB``) bound each point's wall-clock time and address
-space (POSIX only; no-ops elsewhere).  A breach surfaces as a retriable
-:class:`PointFailure` with ``kind`` ``"deadline"`` or ``"rss"`` — a
-runaway point degrades a grid instead of wedging it.
 """
 
 from __future__ import annotations
@@ -63,27 +57,11 @@ import signal
 import threading
 import time
 import traceback as _traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ClusterConfig
 from repro.core.metrics import RunResult
-
-try:  # POSIX only; resource guards degrade to no-ops elsewhere
-    import resource as _resource
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    _resource = None  # type: ignore[assignment]
 
 
 class Point(NamedTuple):
@@ -97,10 +75,6 @@ class Point(NamedTuple):
 PointLike = Union[Point, Tuple[str, float, ClusterConfig]]
 
 
-class PointDeadlineExceeded(RuntimeError):
-    """A simulation point overran its per-point wall-clock deadline."""
-
-
 @dataclass
 class PointFailure:
     """Structured record of one simulation point that could not be run."""
@@ -108,24 +82,16 @@ class PointFailure:
     point: Point
     #: ``"ExcType: message"`` — always present, always picklable
     error: str
-    #: full formatted traceback from the failing attempt
+    #: full formatted traceback of the failure
     traceback: str
-    #: total attempts made (1 + retries)
-    attempts: int = 1
-    #: failure class: ``"error"`` (exception), ``"deadline"`` (wall-clock
-    #: guard), or ``"rss"`` (memory guard) — guard breaches are retriable
-    #: like any other failure
-    kind: str = "error"
     #: the original exception object, when it survives pickling across
     #: the process boundary (best effort; ``None`` otherwise)
     exception: Optional[BaseException] = field(default=None, repr=False)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        tag = f" [{self.kind}]" if self.kind != "error" else ""
         return (
             f"{self.point.app}@{self.point.scale} "
-            f"[{self.point.config.label()}]{tag}: {self.error} "
-            f"({self.attempts} attempt{'s' if self.attempts != 1 else ''})"
+            f"[{self.point.config.label()}]: {self.error}"
         )
 
 
@@ -179,109 +145,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return 1
 
 
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Resolve the per-point retry budget (``REPRO_POINT_RETRIES``
-    overrides the built-in default of 1)."""
-    if retries is not None:
-        return max(0, int(retries))
-    env = os.environ.get("REPRO_POINT_RETRIES", "").strip()
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def _positive_float_env(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return None
-
-
-def resolve_deadline(deadline_s: Optional[float] = None) -> Optional[float]:
-    """Per-point wall-clock deadline in seconds (arg, then
-    ``REPRO_POINT_DEADLINE_S``; ``None``/unset = unguarded)."""
-    if deadline_s is not None:
-        return float(deadline_s) if deadline_s > 0 else None
-    return _positive_float_env("REPRO_POINT_DEADLINE_S")
-
-
-def resolve_rss_limit(rss_mb: Optional[float] = None) -> Optional[int]:
-    """Per-point address-space ceiling in MiB (arg, then
-    ``REPRO_POINT_RSS_MB``; ``None``/unset = unguarded)."""
-    if rss_mb is not None:
-        return int(rss_mb) if rss_mb > 0 else None
-    value = _positive_float_env("REPRO_POINT_RSS_MB")
-    return None if value is None else int(value)
-
-
-@contextmanager
-def _resource_guard(
-    deadline_s: Optional[float], rss_mb: Optional[int]
-) -> Iterator[None]:
-    """Bound one point's wall-clock time and address space (POSIX).
-
-    The deadline uses ``SIGALRM``/``setitimer`` (main thread only — pool
-    workers run tasks in their main thread, so guards work under
-    ``jobs>1`` and in the serial loop alike); the memory ceiling uses
-    ``RLIMIT_AS``, so a breach surfaces as ``MemoryError`` from the
-    allocation that crossed it.  Both are restored on exit *before* the
-    caller's exception handling runs, so capturing the failure itself is
-    never subject to the breached limit.
-    """
-    if deadline_s is None and rss_mb is None:
-        yield
-        return
-    old_limit = None
-    if rss_mb is not None and _resource is not None:
-        ceiling = int(rss_mb) * (1 << 20)
-        old_limit = _resource.getrlimit(_resource.RLIMIT_AS)
-        soft = (
-            ceiling
-            if old_limit[1] == _resource.RLIM_INFINITY
-            else min(ceiling, old_limit[1])
-        )
-        try:
-            _resource.setrlimit(_resource.RLIMIT_AS, (soft, old_limit[1]))
-        except (ValueError, OSError):  # pragma: no cover - exotic rlimits
-            old_limit = None
-    timer_armed = False
-    old_handler = None
-    if (
-        deadline_s is not None
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    ):
-
-        def _on_deadline(signum, frame):  # noqa: ARG001
-            raise PointDeadlineExceeded(
-                f"simulation point exceeded its {deadline_s:g}s "
-                "wall-clock deadline"
-            )
-
-        old_handler = signal.signal(signal.SIGALRM, _on_deadline)
-        signal.setitimer(signal.ITIMER_REAL, float(deadline_s))
-        timer_armed = True
-    try:
-        yield
-    finally:
-        if timer_armed:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, old_handler)
-        if old_limit is not None:
-            try:
-                _resource.setrlimit(_resource.RLIMIT_AS, old_limit)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
-
 #: how often a pool worker checks that the sweep that started it is alive
 _ORPHAN_POLL_S = 1.0
 
@@ -329,9 +192,7 @@ def _compute_point(point: Point) -> RunResult:
     return sweeps.cached_run(point.app, point.scale, point.config)
 
 
-def _capture_failure(
-    point: Point, exc: BaseException, attempts: int, kind: str = "error"
-) -> PointFailure:
+def _capture_failure(point: Point, exc: BaseException) -> PointFailure:
     keep: Optional[BaseException] = exc
     try:  # only ship the exception object home if it survives pickling
         pickle.loads(pickle.dumps(exc))
@@ -343,65 +204,46 @@ def _capture_failure(
         traceback="".join(
             _traceback.format_exception(type(exc), exc, exc.__traceback__)
         ),
-        attempts=attempts,
-        kind=kind,
         exception=keep,
     )
 
 
-def _compute_point_guarded(
-    point: Point,
-    attempts: int,
-    deadline_s: Optional[float] = None,
-    rss_mb: Optional[int] = None,
-) -> Union[RunResult, PointFailure]:
+def _compute_or_capture(point: Point) -> Union[RunResult, PointFailure]:
     """Pool worker that never raises: failures come back as data, so one
-    bad point cannot tear down the whole ``pool.map``-style batch.  Only
-    an interrupt of the serial loop propagates."""
+    bad point cannot tear down the whole batch.  Only an interrupt of
+    the serial loop propagates."""
     try:
-        with _resource_guard(deadline_s, rss_mb):
-            # Chaos-test hooks: slow every computed point down (so a test
-            # can deterministically kill/interrupt a sweep mid-grid) or
-            # balloon its memory (so a test can breach the RSS guard).
-            chaos_delay = _positive_float_env("REPRO_CHAOS_POINT_DELAY_S")
-            if chaos_delay:
-                time.sleep(chaos_delay)
-            chaos_alloc = _positive_float_env("REPRO_CHAOS_POINT_ALLOC_MB")
-            if chaos_alloc:
-                _ballast = bytearray(int(chaos_alloc * (1 << 20)))  # noqa: F841
-            return _compute_point(point)
+        # Chaos-test hook: slow every computed point down so a test can
+        # deterministically kill or interrupt a sweep mid-grid.
+        try:
+            delay = float(os.environ.get("REPRO_CHAOS_POINT_DELAY_S", "") or 0)
+        except ValueError:
+            delay = 0.0
+        if delay > 0:
+            time.sleep(delay)
+        return _compute_point(point)
     except KeyboardInterrupt:
         raise
     except BaseException as exc:  # noqa: BLE001 - the whole point
-        if isinstance(exc, PointDeadlineExceeded):
-            kind = "deadline"
-        elif rss_mb is not None and isinstance(exc, MemoryError):
-            kind = "rss"
-        else:
-            kind = "error"
-        return _capture_failure(point, exc, attempts, kind)
+        return _capture_failure(point, exc)
 
 
 def run_points(
     points: Iterable[PointLike],
     jobs: Optional[int] = None,
-    retries: Optional[int] = None,
     strict: bool = True,
-    deadline_s: Optional[float] = None,
-    rss_mb: Optional[float] = None,
 ) -> List[Union[RunResult, PointFailure]]:
     """Run (or fetch) every point, in parallel, preserving input order.
 
-    Duplicate points are simulated once.  Results are also installed in
+    Duplicate points are simulated once, and each missing point is
+    computed once: there is no retry.  Results are also installed in
     the in-memory run cache, so subsequent :func:`~repro.core.sweeps.
     cached_run` calls for the same points are hits.
 
-    Failed points are retried ``retries`` times (see
-    :func:`resolve_retries`).  With ``strict=True`` a residual failure
-    raises :class:`GridExecutionError` *after* all in-flight points have
-    completed (and been cached); with ``strict=False`` the returned list
-    holds a :class:`PointFailure` in each failed slot.
-    ``deadline_s``/``rss_mb`` arm the per-point resource guards.
+    With ``strict=True`` a failure raises :class:`GridExecutionError`
+    *after* all in-flight points have completed (and been cached); with
+    ``strict=False`` the returned list holds a :class:`PointFailure` in
+    each failed slot.
     """
     from repro.core import sweeps
 
@@ -420,40 +262,18 @@ def run_points(
 
     # An oversized pool is pure overhead: clamp workers to the number of
     # points actually missing (jobs=0 already clamps to cpu_count).
-    n_jobs = resolve_jobs(jobs)
-    if misses:
-        n_jobs = max(1, min(n_jobs, len(misses)))
-    budget = resolve_retries(retries)
-    deadline = resolve_deadline(deadline_s)
-    rss = resolve_rss_limit(rss_mb)
-
-    pending: List[Point] = misses
-    for attempt in range(1, budget + 2):  # first try + `budget` retries
-        if not pending:
-            break
-        last_round = attempt == budget + 1
-        round_points = pending
-        from_pool = n_jobs > 1 and len(pending) > 1
-        if from_pool:
-            outcomes = _map_parallel(pending, n_jobs, attempt, deadline, rss)
-        else:
-            outcomes = {
-                p: _compute_point_guarded(p, attempt, deadline, rss)
-                for p in pending
-            }
-        pending = []
-        for p in round_points:
-            out = outcomes[p]
+    n_jobs = min(resolve_jobs(jobs), len(misses))
+    if n_jobs > 1:
+        outcomes = _map_parallel(misses, n_jobs)
+        for p in misses:
+            out = resolved[p] = outcomes[p]
             if isinstance(out, RunResult):
-                if from_pool:
-                    # the worker wrote the disk layer; install the result
-                    # in this process's memory cache so later calls hit
-                    sweeps.cache_store(p.app, p.scale, p.config, out, disk=False)
-                resolved[p] = out
-            elif last_round:
-                resolved[p] = out
-            else:
-                pending.append(p)
+                # the worker wrote the disk layer; install the result in
+                # this process's memory cache so later calls hit
+                sweeps.cache_store(p.app, p.scale, p.config, out, disk=False)
+    else:
+        for p in misses:
+            resolved[p] = _compute_or_capture(p)
 
     # Every completed point lands in the columnar result store — the
     # sweep builds the longitudinal corpus as a side effect.  Cache hits
@@ -493,13 +313,10 @@ def _ingest_outcomes(
 
 
 def _map_parallel(
-    misses: Sequence[Point],
-    n_jobs: int,
-    attempts: int,
-    deadline_s: Optional[float] = None,
-    rss_mb: Optional[int] = None,
+    misses: Sequence[Point], workers: int
 ) -> Dict[Point, Union[RunResult, PointFailure]]:
-    """Fan points across a process pool, one future per point.
+    """Fan points across a pool of ``workers`` processes, one future
+    per point.
 
     At most one future per worker is outstanding: the next point, in
     ``misses`` order, is submitted as each one completes.  So nothing
@@ -511,8 +328,7 @@ def _map_parallel(
     killed by the OS, an unpicklable result, a broken pool) — and still
     map them onto the individual point rather than aborting the batch.
     A broken pool refuses every later submission, so the rest of the
-    queue fails at once and goes to the next retry round, which starts
-    a fresh pool.
+    queue fails at once.
 
     On ``KeyboardInterrupt`` the interrupt is re-raised; leaving the
     pool's ``with`` block then waits for the points already running,
@@ -520,7 +336,6 @@ def _map_parallel(
     """
     from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 
-    workers = max(1, min(n_jobs, len(misses)))
     outcomes: Dict[Point, Union[RunResult, PointFailure]] = {}
     queue = iter(misses)
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
@@ -529,11 +344,9 @@ def _map_parallel(
         def submit_next() -> None:
             for p in queue:
                 try:
-                    fut = pool.submit(
-                        _compute_point_guarded, p, attempts, deadline_s, rss_mb
-                    )
+                    fut = pool.submit(_compute_or_capture, p)
                 except Exception as exc:  # noqa: BLE001 - a broken pool
-                    outcomes[p] = _capture_failure(p, exc, attempts)
+                    outcomes[p] = _capture_failure(p, exc)
                     continue
                 running[fut] = p
                 return
@@ -547,6 +360,6 @@ def _map_parallel(
                 try:
                     outcomes[p] = fut.result()
                 except Exception as exc:  # noqa: BLE001 - see docstring
-                    outcomes[p] = _capture_failure(p, exc, attempts)
+                    outcomes[p] = _capture_failure(p, exc)
                 submit_next()
     return outcomes

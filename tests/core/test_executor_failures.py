@@ -1,4 +1,4 @@
-"""Executor failure handling: per-point capture, retries, strict mode."""
+"""Executor failure handling: per-point capture, one pass, strict mode."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.core.executor import (
     GridExecutionError,
     Point,
     PointFailure,
-    resolve_retries,
     run_points,
 )
 from repro.core.metrics import RunResult
@@ -23,7 +22,6 @@ POISON = ("no-such-app", SCALE, ClusterConfig())
 @pytest.fixture
 def fresh(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_POINT_RETRIES", raising=False)
     runcache.reset_disk_cache()
     clear_caches()
     yield
@@ -46,7 +44,6 @@ def test_non_strict_returns_partial_results(fresh, jobs):
     assert "unknown application" in failure.error
     assert "ValueError" in failure.error
     assert "Traceback" in failure.traceback
-    assert failure.attempts == 2  # first try + default 1 retry
     assert isinstance(failure.exception, ValueError)
 
 
@@ -61,33 +58,32 @@ def test_strict_raises_after_completing_in_flight_work(fresh, jobs):
     assert cached_lookup("lu", SCALE, ClusterConfig()) is not None
 
 
-def test_retries_zero_single_attempt(fresh):
-    results = run_points([POISON], jobs=1, retries=0, strict=False)
-    assert results[0].attempts == 1
+def test_failed_point_is_computed_once(fresh, monkeypatch):
+    """One pass per grid: a failing point is not retried."""
+    from repro.core import executor
 
+    compute = executor._compute_point
+    calls = []
 
-def test_retries_env_override(fresh, monkeypatch):
-    monkeypatch.setenv("REPRO_POINT_RETRIES", "3")
-    assert resolve_retries() == 3
-    assert resolve_retries(0) == 0  # explicit beats env
-    results = run_points([POISON], jobs=1, strict=False)
-    assert results[0].attempts == 4
+    def counting(point):
+        calls.append(point.app)
+        return compute(point)
 
-
-def test_resolve_retries_ignores_garbage_env(monkeypatch):
-    monkeypatch.setenv("REPRO_POINT_RETRIES", "many")
-    assert resolve_retries() == 1
+    monkeypatch.setattr(executor, "_compute_point", counting)
+    results = run_points(_mixed_grid(), jobs=1, strict=False)
+    assert isinstance(results[1], PointFailure)
+    assert calls == ["fft", "no-such-app", "lu"]
 
 
 def test_failures_are_not_cached(fresh):
-    run_points([POISON], jobs=2, strict=False, retries=0)
+    run_points([POISON], jobs=2, strict=False)
     assert cached_lookup(*POISON) is None
 
 
 def test_all_points_failing_still_structured(fresh):
     grid = [POISON, ("also-missing", SCALE, ClusterConfig())]
     with pytest.raises(GridExecutionError) as exc:
-        run_points(grid, jobs=2, retries=0)
+        run_points(grid, jobs=2)
     assert len(exc.value.failures) == 2
 
 
@@ -98,7 +94,7 @@ def test_grid_error_message_is_bounded(fresh):
     n = MAX_SUMMARIZED_FAILURES + 5
     grid = [(f"missing-app-{i}", SCALE, ClusterConfig()) for i in range(n)]
     with pytest.raises(GridExecutionError) as exc:
-        run_points(grid, jobs=2, retries=0)
+        run_points(grid, jobs=2)
     message = str(exc.value)
     assert len(exc.value.failures) == n  # nothing dropped from the data
     assert message.count("  - missing-app-") == MAX_SUMMARIZED_FAILURES
@@ -108,7 +104,7 @@ def test_grid_error_message_is_bounded(fresh):
 def test_small_failed_grid_message_is_complete(fresh):
     grid = [POISON, ("also-missing", SCALE, ClusterConfig())]
     with pytest.raises(GridExecutionError) as exc:
-        run_points(grid, jobs=1, retries=0)
+        run_points(grid, jobs=1)
     message = str(exc.value)
     assert "no-such-app" in message and "also-missing" in message
     assert "more failure" not in message
@@ -116,8 +112,8 @@ def test_small_failed_grid_message_is_complete(fresh):
 
 def test_serial_interrupt_stops_the_grid(fresh, monkeypatch):
     """Ctrl-C in the serial loop propagates instead of being captured as
-    a point failure and retried; the points finished before it stay
-    cached for a rerun."""
+    a point failure; the points finished before it stay cached for a
+    rerun."""
     from repro.core import executor
 
     compute = executor._compute_point

@@ -43,7 +43,7 @@ def poisoned_simulator(monkeypatch):
     monkeypatch.setattr("repro.core.run_simulation", boom)
     monkeypatch.setattr("repro.core.sweeps.cached_run", boom)
     monkeypatch.setattr("repro.core.executor.run_points", boom)
-    monkeypatch.setattr("repro.core.executor._compute_point_guarded", boom)
+    monkeypatch.setattr("repro.core.executor._compute_or_capture", boom)
 
 
 def _ingest_committed_results(capsys):
