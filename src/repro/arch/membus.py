@@ -64,7 +64,6 @@ class MemoryBus:
         #: statistics
         self.transfer_count = 0
         self.transfer_bytes = 0
-        self.background_bytes = 0
         #: optional metrics registry (None = disabled, single check per transfer)
         self.metrics = None
 
@@ -123,7 +122,6 @@ class MemoryBus:
             raise RuntimeError(f"background rate underflow on {self.name}")
         if self._bg_rate < 0:
             self._bg_rate = 0.0
-        self.background_bytes += 0  # bookkeeping hook; bytes counted on register
 
     def utilization_for_block(self, own_rate: float, block_cycles: int) -> float:
         """Bus utilization a block of the given length would observe,
@@ -145,12 +143,6 @@ class MemoryBus:
         """
         rho = self.utilization_for_block(own_rate, block_cycles)
         return 1.0 / (1.0 - rho)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def background_rate(self) -> float:
-        """Currently registered background demand (bytes/cycle)."""
-        return self._bg_rate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemoryBus({self.name!r}, bg={self._bg_rate:.3f} B/cyc)"

@@ -174,10 +174,6 @@ class ArchParams:
                 f"wb_entries ({self.wb_entries})"
             )
 
-    def cycles_per_us(self) -> float:
-        """Processor cycles per microsecond (200 at 200 MHz)."""
-        return self.cpu_mhz
-
 
 @dataclass(frozen=True)
 class CommParams:

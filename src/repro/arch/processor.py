@@ -88,14 +88,6 @@ class ProcessorStats:
     def busy_cycles(self) -> int:
         return sum(self.time.values())
 
-    def merged_with(self, other: "ProcessorStats") -> "ProcessorStats":
-        out = ProcessorStats()
-        for cat in TIME_CATEGORIES:
-            out.time[cat] = self.time[cat] + other.time[cat]
-        for name in set(self.counters) | set(other.counters):
-            out.counters[name] = self.get_count(name) + other.get_count(name)
-        return out
-
 
 class Processor:
     """One CPU of an SMP node.
@@ -257,11 +249,6 @@ class Processor:
         value = yield waitable
         self.stats.add(category, self.sim.now - t0)
         return value
-
-    def wait_cycles(self, cycles: int, category: str) -> Generator:
-        """Sleep (not occupying the CPU) charging time to ``category``."""
-        self.stats.add(category, int(cycles))
-        yield int(cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Processor({self.name})"

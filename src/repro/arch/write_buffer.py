@@ -74,6 +74,3 @@ class WriteBufferModel:
         stalled_writes = max(0.0, backlog - self.headroom())
         return int(stalled_writes * self.drain_cycles)
 
-    def stall_fraction(self, burst: WriteBurst) -> float:
-        """Stall cycles as a fraction of the burst duration (clamped)."""
-        return min(1.0, self.stall_cycles(burst) / burst.duration)

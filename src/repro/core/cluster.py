@@ -150,15 +150,13 @@ class Cluster:
     def __init__(
         self,
         config: ClusterConfig,
-        sim: Optional[Simulator] = None,
         metrics: Optional["MetricsRegistry"] = None,
         verify_log: Optional[object] = None,
     ) -> None:
         self.config = config
         #: metrics registry shared by every instrumented component, or
         #: ``None`` (the default) for a zero-observability-cost run
-        self.metrics = metrics if metrics is not None and metrics.enabled else None
-        metrics = self.metrics
+        self.metrics = metrics
         if verify_log is None and config.verify:
             from repro.verify import VerifyLog  # local import avoids cycle
 
@@ -170,19 +168,15 @@ class Cluster:
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(config.faults) if config.faults.enabled else None
         )
-        if sim is None:
-            # Deadlock detection is free (one scan when the heap drains)
-            # so it is always on; livelock counting forces the general
-            # dispatch loop, so it is armed only when faults can cause
-            # retry storms that might spin.
-            watchdog = Watchdog(
-                deadlock=True,
-                livelock_events=(
-                    DEFAULT_LIVELOCK_EVENTS if self.fault_injector else None
-                ),
-            )
-            sim = Simulator(watchdog=watchdog)
-        self.sim = sim
+        # Deadlock detection is free (one scan when the heap drains) so it
+        # is always on; livelock counting forces the general dispatch
+        # loop, so it is armed only when faults can cause retry storms
+        # that might spin.
+        watchdog = Watchdog(
+            deadlock=True,
+            livelock_events=DEFAULT_LIVELOCK_EVENTS if self.fault_injector else None,
+        )
+        self.sim = Simulator(watchdog=watchdog)
         arch, comm = config.arch, config.comm
         self.network = Network(
             self.sim, arch.link_bytes_per_cycle, arch.link_latency_cycles

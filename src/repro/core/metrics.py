@@ -84,11 +84,6 @@ class RunResult:
             )
         return self.serial_cycles / max(1, busiest)
 
-    def slowdown_vs(self, other: "RunResult") -> float:
-        """Fractional slowdown of *this* run relative to ``other``
-        (positive = this run is slower), as in Table 3."""
-        return (other.speedup - self.speedup) / other.speedup
-
     # ------------------------------------------------------------------ #
     # breakdowns
     # ------------------------------------------------------------------ #

@@ -8,7 +8,6 @@ This is the main user-facing entry point::
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
@@ -87,20 +86,9 @@ def _harvest_resource_busy(cluster: Cluster) -> dict:
     return busy
 
 
-def _env_verify() -> bool:
-    """True when REPRO_VERIFY asks for the oracle on every run."""
-    return os.environ.get("REPRO_VERIFY", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
 def run_simulation(
     app: AppTrace,
     config: Optional[ClusterConfig] = None,
-    max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
     verify_log: Optional[object] = None,
 ) -> RunResult:
@@ -113,8 +101,6 @@ def run_simulation(
         ``total_procs``).
     config:
         Cluster configuration; defaults to the achievable set.
-    max_events:
-        Optional safety valve forwarded to the simulator.
     metrics:
         Optional :class:`~repro.core.stats.MetricsRegistry` for a
         profiled run: per-message-type counts, queue-depth samples,
@@ -126,12 +112,11 @@ def run_simulation(
         Optional :class:`~repro.verify.VerifyLog` to collect protocol
         conformance events into (tests pass one to inspect the stream).
         When ``None``, a log is created automatically iff
-        ``config.verify`` is set or ``REPRO_VERIFY=1``.  Like profiling,
-        verification is passive: simulated time is bit-identical either
-        way.  After the run the happens-before oracle replays the log;
-        violations land on ``RunResult.violations`` and in
-        ``RunResult.meta`` and a replayable artifact is written under
-        ``results/violations/``.
+        ``config.verify`` is set.  Like profiling, verification is
+        passive: simulated time is bit-identical either way.  After the
+        run the happens-before oracle replays the log; violations land
+        on ``RunResult.violations`` and in ``RunResult.meta`` and a
+        replayable artifact is written under ``results/violations/``.
     """
     if config is None:
         config = ClusterConfig()
@@ -140,16 +125,12 @@ def run_simulation(
             f"trace built for {app.n_procs} processors but config has "
             f"{config.total_procs}"
         )
-    if verify_log is None and (config.verify or _env_verify()):
-        from repro.verify import VerifyLog
-
-        verify_log = VerifyLog()
     cluster = Cluster(config, metrics=metrics, verify_log=verify_log)
     for proc_id, events in enumerate(app.events):
         cluster.sim.spawn(
             _worker(cluster, cluster.procs[proc_id], events), name=f"app.p{proc_id}"
         )
-    cluster.sim.run(max_events=max_events)
+    cluster.sim.run()
 
     unfinished = [c.name for c in cluster.procs if c.finish_time is None]
     if unfinished:

@@ -18,8 +18,7 @@ swept.  This module provides the collection side:
 
 Cost discipline
 ---------------
-Collection follows the same zero-cost pattern as :mod:`repro.sim.tracing`:
-instrumented components hold a ``metrics`` attribute that is ``None`` by
+Instrumented components hold a ``metrics`` attribute that is ``None`` by
 default, so the disabled path is a single attribute check (usually hoisted
 out of loops entirely).  Per-resource *busy cycles* are not collected here
 at all — the :class:`~repro.sim.resources.FluidQueue` servers already
@@ -113,15 +112,12 @@ class MetricsRegistry:
     """Collects counters, cycle accumulators, busy trackers and phase marks.
 
     Components report into the registry only when one is installed (their
-    ``metrics`` attribute is non-``None``); a registry can additionally be
-    soft-disabled via :attr:`enabled`, which every reporting method checks
-    first so a cached reference costs one attribute test.
+    ``metrics`` attribute is non-``None``); ``None`` is the off state.
     """
 
-    __slots__ = ("enabled", "counters", "cycles", "busy", "queue_depths", "phase_marks")
+    __slots__ = ("counters", "cycles", "busy", "queue_depths", "phase_marks")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.cycles: Dict[str, int] = {}
         self.busy: Dict[str, BusyTracker] = {}
@@ -132,13 +128,9 @@ class MetricsRegistry:
     # event counters and cycle accumulators
     # ------------------------------------------------------------------ #
     def bump(self, name: str, n: int = 1) -> None:
-        if not self.enabled:
-            return
         self.counters[name] = self.counters.get(name, 0) + n
 
     def add_cycles(self, name: str, cycles: int) -> None:
-        if not self.enabled:
-            return
         self.cycles[name] = self.cycles.get(name, 0) + int(cycles)
 
     # ------------------------------------------------------------------ #
@@ -151,21 +143,15 @@ class MetricsRegistry:
         return tracker
 
     def begin_busy(self, name: str, now: int) -> None:
-        if not self.enabled:
-            return
         self.busy_tracker(name).begin(now)
 
     def end_busy(self, name: str, now: int) -> None:
-        if not self.enabled:
-            return
         self.busy_tracker(name).end(now)
 
     # ------------------------------------------------------------------ #
     # queue depths
     # ------------------------------------------------------------------ #
     def sample_queue(self, name: str, depth: float) -> None:
-        if not self.enabled:
-            return
         stat = self.queue_depths.get(name)
         if stat is None:
             stat = self.queue_depths[name] = QueueDepthStat()
@@ -181,8 +167,6 @@ class MetricsRegistry:
         *so far* (a snapshot, not a delta); consumers difference adjacent
         marks to recover per-phase costs.
         """
-        if not self.enabled:
-            return
         self.phase_marks.append((int(now), label, dict(cumulative)))
 
     # ------------------------------------------------------------------ #
@@ -202,7 +186,6 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MetricsRegistry(enabled={self.enabled}, "
-            f"counters={len(self.counters)}, busy={len(self.busy)}, "
+            f"MetricsRegistry(counters={len(self.counters)}, busy={len(self.busy)}, "
             f"phases={len(self.phase_marks)})"
         )

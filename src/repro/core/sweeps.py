@@ -9,14 +9,14 @@ simulated repeatedly:
   processes and invocations, shared with pool workers.
 
 Grids go through :func:`repro.core.executor.run_points` to use several
-cores; the helpers here accept a ``jobs`` argument and forward to it.
+cores; :func:`sweep_comm_param` accepts a ``jobs`` argument and forwards it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps import APP_ORDER, get_app
+from repro.apps import get_app
 from repro.apps.base import AppTrace
 from repro.core import runcache
 from repro.core.config import ClusterConfig
@@ -139,34 +139,3 @@ def sweep_comm_param(
     base = base if base is not None else ClusterConfig()
     points = [(app_name, scale, base.with_comm(**{param: v})) for v in values]
     return run_points(points, jobs=jobs)
-
-
-def run_apps(
-    config: Optional[ClusterConfig] = None,
-    apps: Optional[Iterable[str]] = None,
-    scale: float = 1.0,
-    jobs: Optional[int] = None,
-) -> Dict[str, RunResult]:
-    """One run per application under ``config``."""
-    from repro.core.executor import run_points
-
-    config = config if config is not None else ClusterConfig()
-    names = list(apps) if apps is not None else list(APP_ORDER)
-    results = run_points([(name, scale, config) for name in names], jobs=jobs)
-    return dict(zip(names, results))
-
-
-def max_slowdown(results: Sequence[RunResult]) -> float:
-    """Fractional slowdown between the best and worst speedup in a sweep
-    (paper Table 3).  Computed from ``max()``/``min()`` over the whole
-    sweep, so the value does not depend on the order the points were
-    listed in; by construction it is non-negative.  For the signed,
-    endpoint-oriented quantity ("did the nominally worst value actually
-    help?") use :func:`slowdown_between` on explicit endpoints."""
-    speedups = [r.speedup for r in results]
-    best, worst = max(speedups), min(speedups)
-    return (best - worst) / best
-
-
-def slowdown_between(first: RunResult, last: RunResult) -> float:
-    return (first.speedup - last.speedup) / first.speedup

@@ -19,7 +19,7 @@ Home assignment follows the systems the paper simulates:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 def pages_in_range(start: int, nbytes: int, page_size: int) -> Tuple[int, ...]:
@@ -90,10 +90,6 @@ class PageDirectory:
         self._homes[page] = node
         return node
 
-    def peek_home(self, page: int) -> Optional[int]:
-        """Home node if assigned, else ``None`` (no assignment side effect)."""
-        return self._homes.get(page)
-
     def homes(self) -> Dict[int, int]:
         """Copy of the full page -> home-node map (conformance oracle)."""
         return dict(self._homes)
@@ -107,17 +103,7 @@ class PageDirectory:
             raise ValueError(f"page {page} already homed at {current}")
         self._homes[page] = node
 
-    def assign_many(self, pages: Iterable[int], node: int) -> None:
-        for page in pages:
-            self.assign_home(page, node)
-
     @property
     def assigned_pages(self) -> int:
         return len(self._homes)
 
-    def homes_by_node(self) -> Dict[int, int]:
-        """Count of homed pages per node (placement-balance diagnostics)."""
-        counts: Dict[int, int] = {}
-        for node in self._homes.values():
-            counts[node] = counts.get(node, 0) + 1
-        return counts

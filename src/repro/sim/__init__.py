@@ -35,19 +35,14 @@ Quick example
 """
 
 from repro.sim.engine import Simulator, SimulationError
-from repro.sim.primitives import AllOf, AnyOf, Event, Timeout, Waitable
+from repro.sim.primitives import AllOf, Event, Timeout, Waitable
 from repro.sim.process import Process, ProcessCrash
-from repro.sim.resources import FluidQueue, PriorityResource, Resource, Store
-from repro.sim.tracing import NULL_TRACER, NullTracer, TraceRecord, Tracer
+from repro.sim.resources import FluidQueue, Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "FluidQueue",
-    "NULL_TRACER",
-    "NullTracer",
-    "PriorityResource",
     "Process",
     "ProcessCrash",
     "Resource",
@@ -55,7 +50,5 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "Waitable",
 ]

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Set
 
-from repro.sim.tracing import NULL_TRACER, Tracer
-
 
 class SimulationError(RuntimeError):
     """Raised for scheduling misuse (negative delays, running backwards)."""
@@ -87,9 +85,9 @@ class Simulator:
 
     Parameters
     ----------
-    tracer:
-        Optional :class:`~repro.sim.tracing.Tracer` receiving a record per
-        dispatched event.  Defaults to a no-op tracer.
+    watchdog:
+        Optional :class:`Watchdog` stuck-simulation policy; ``None``
+        (bare simulators: tests, partial fixtures) detects nothing.
 
     Attributes
     ----------
@@ -103,17 +101,12 @@ class Simulator:
         "_times",
         "_pending",
         "_dispatched",
-        "tracer",
         "_running",
         "watchdog",
         "_processes",
     )
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        watchdog: Optional[Watchdog] = None,
-    ) -> None:
+    def __init__(self, watchdog: Optional[Watchdog] = None) -> None:
         self.now: int = 0
         #: absolute time -> flat batch [fn, args, fn, args, ...]
         self._buckets: dict[int, list] = {}
@@ -122,7 +115,6 @@ class Simulator:
         self._pending: int = 0
         self._dispatched: int = 0
         self._running = False
-        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self.watchdog: Optional[Watchdog] = watchdog
         #: live (unfinished) processes, maintained by Process itself
         self._processes: Set["Process"] = set()
@@ -202,23 +194,15 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         dispatched_before = self._dispatched
-        trace = self.tracer
         wd = self.watchdog
         livelock_limit = wd.livelock_events if wd is not None else None
 
-        if (
-            until is None
-            and max_events is None
-            and not trace.enabled
-            and livelock_limit is None
-        ):
+        if until is None and max_events is None and livelock_limit is None:
             # Hot path: drain-the-calendar with no deadline, no event
-            # budget and tracing off (the tracer's flag is sampled here
-            # once; only a callback mutating this tracer mid-run could
-            # observe the difference).  Hot names are bound locally and
-            # each iteration drains one whole bucket — one heap pop and
-            # one dict pop per *timestamp*, then a branch-free sweep of
-            # the flat [fn, args, ...] batch.
+            # budget and no livelock counter.  Hot names are bound
+            # locally and each iteration drains one whole bucket — one
+            # heap pop and one dict pop per *timestamp*, then a
+            # branch-free sweep of the flat [fn, args, ...] batch.
             times = self._times
             buckets = self._buckets
             pop = heapq.heappop
@@ -299,8 +283,6 @@ class Simulator:
                     self._pending -= 1
                     self.now = t
                     self._dispatched += 1
-                    if trace.enabled:
-                        trace.record(t, "dispatch", getattr(fn, "__qualname__", repr(fn)))
                     fn(*args)
             else:
                 if until is not None and until > self.now:

@@ -1,4 +1,4 @@
-"""Waitable primitives: timeouts, one-shot events, and combinators.
+"""Waitable primitives: timeouts, one-shot events, and the AllOf join.
 
 Anything a process may ``yield`` implements the :class:`Waitable`
 protocol — a single ``_wait(process)`` hook that arranges for
@@ -183,47 +183,6 @@ class AllOf(Waitable):
             _subscribe(ev, on_done, on_fail)
 
 
-class AnyOf(Waitable):
-    """Resume when *any* of the given events triggers.
-
-    The resume value is ``(index, value)`` of the first event to trigger.
-    """
-
-    __slots__ = ("sim", "events")
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event]) -> None:
-        self.sim = sim
-        self.events = list(events)
-
-    def _wait(self, process: "Process") -> None:
-        state = {"done": False}
-
-        for idx, ev in enumerate(self.events):
-            if ev.triggered and not state["done"]:
-                state["done"] = True
-                if ev._exc is not None:
-                    self.sim.schedule_now(process._resume_exc, ev._exc)
-                else:
-                    self.sim.schedule_now(process._resume, (idx, ev._value))
-                return
-
-        for idx, ev in enumerate(self.events):
-
-            def on_done(value: Any, _idx: int = idx) -> None:
-                if state["done"]:
-                    return
-                state["done"] = True
-                process._resume((_idx, value))
-
-            def on_fail(exc: BaseException) -> None:
-                if state["done"]:
-                    return
-                state["done"] = True
-                process._resume_exc(exc)
-
-            _subscribe(ev, on_done, on_fail)
-
-
 class _CallbackWaiter:
     """Adapter making a pair of callbacks look like a Process to Event."""
 
@@ -237,5 +196,5 @@ class _CallbackWaiter:
 
 
 def _subscribe(event: Event, on_value, on_exc) -> None:
-    """Attach plain callbacks to an event (used by the combinators)."""
+    """Attach plain callbacks to an event (used by :class:`AllOf`)."""
     event._wait(_CallbackWaiter(on_value, on_exc))  # type: ignore[arg-type]

@@ -198,18 +198,6 @@ class Process(Waitable):
     def _wait(self, process: "Process") -> None:
         self.done._wait(process)
 
-    def interrupt_with(self, exc: BaseException) -> None:
-        """Throw ``exc`` into the process at the current time.
-
-        Used sparingly (e.g. queue-overflow back-pressure).  The process
-        must currently be suspended on a waitable; any value that waitable
-        later delivers is ignored because generators can only be resumed
-        once per suspension point.
-        """
-        if self.finished:
-            raise RuntimeError(f"cannot interrupt finished process {self.name!r}")
-        self.sim.schedule_now(self._resume_exc, exc)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.finished else "running"
         return f"Process({self.name!r}, {state})"

@@ -1,11 +1,11 @@
-"""Contended resources: FCFS/priority servers, stores, and fluid queues.
+"""Contended resources: FCFS servers, stores, and fluid queues.
 
 Two families live here:
 
-* **Event-based resources** (:class:`Resource`, :class:`PriorityResource`,
-  :class:`Store`) — processes block on an acquire/get event and are woken
-  in order.  Used where the *holder* does variable-length work while
-  holding the resource (e.g. a CPU running an interrupt handler).
+* **Event-based resources** (:class:`Resource`, :class:`Store`) —
+  processes block on an acquire/get event and are woken in order.  Used
+  where the *holder* does variable-length work while holding the
+  resource (e.g. a CPU running an interrupt handler).
 
 * **Fluid queues** (:class:`FluidQueue`) — an analytic FCFS single-server
   queue.  A request of ``service`` cycles arriving at time ``t`` departs at
@@ -17,9 +17,8 @@ Two families live here:
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from repro.sim.primitives import Event
 
@@ -71,55 +70,6 @@ class Resource:
         if self._queue:
             # Slot passes directly to the next waiter; _in_use unchanged.
             self._queue.popleft().succeed(self)
-        else:
-            self._in_use -= 1
-
-
-class PriorityResource:
-    """Like :class:`Resource` but waiters are served lowest-priority-first.
-
-    Priorities model bus arbitration: the paper's memory bus grants, in
-    decreasing priority, NI-outgoing, L2, write buffer, memory, NI-incoming.
-    Ties break FIFO.
-    """
-
-    __slots__ = ("sim", "capacity", "_in_use", "_heap", "_seq", "name", "_acquire_name")
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._acquire_name = f"{name}.acquire"
-        self._in_use = 0
-        self._heap: List[Tuple[int, int, Event]] = []
-        self._seq = 0
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queued(self) -> int:
-        return len(self._heap)
-
-    def acquire(self, priority: int = 0) -> Event:
-        ev = Event(self.sim, name=self._acquire_name)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            heapq.heappush(self._heap, (priority, self._seq, ev))
-            self._seq += 1
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise RuntimeError(f"release of idle resource {self.name!r}")
-        if self._heap:
-            _prio, _seq, ev = heapq.heappop(self._heap)
-            ev.succeed(self)
         else:
             self._in_use -= 1
 
@@ -235,10 +185,6 @@ class FluidQueue:
         """Fraction of time busy (vs ``elapsed`` or the whole run)."""
         span = elapsed if elapsed is not None else max(1, self.sim.now)
         return min(1.0, self.busy_cycles / span)
-
-    def reset_stats(self) -> None:
-        self.busy_cycles = 0
-        self.requests = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FluidQueue({self.name!r}, backlog={self.backlog})"

@@ -2,9 +2,9 @@
 
 The protocol engines in :mod:`repro.protocol` are the *system under test*;
 this package is the referee.  When a run is started with
-``ClusterConfig(verify=True)`` (or ``repro run --verify`` /
-``REPRO_VERIFY=1``) the protocols emit a passive event stream into a
-:class:`~repro.verify.events.VerifyLog`, and after the simulation finishes
+``ClusterConfig(verify=True)`` (or ``repro run --verify``) the protocols
+emit a passive event stream into a :class:`~repro.verify.events.VerifyLog`,
+and after the simulation finishes
 :func:`~repro.verify.oracle.check_log` replays the stream against a simple,
 obviously-correct memory model — shadow vector clocks and per-page writer
 histories kept in plain Python lists, deliberately sharing *no* code with

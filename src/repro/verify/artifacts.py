@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.apps.base import AppTrace
+from repro.verify.events import VerifyLog
 
 #: environment override for the artifact directory ("0"/"off" disables)
 VIOLATION_DIR_ENV = "REPRO_VIOLATION_DIR"
@@ -64,7 +65,7 @@ def dump_violation_artifact(
     app: AppTrace,
     config: Any,
     violations: Sequence[Any],
-    log: Any,
+    log: VerifyLog,
     out_dir: Optional[Path] = None,
 ) -> Optional[Path]:
     """Write a replayable JSON repro for a violated run.
@@ -89,7 +90,7 @@ def dump_violation_artifact(
         "violations": [_jsonify(v.to_dict()) for v in violations],
         "verify_event_tail": [
             [rec.time, rec.kind, _jsonify(rec.detail)]
-            for rec in log.tail(CONTEXT_TAIL)
+            for rec in log.records[-CONTEXT_TAIL:]
         ],
     }
     if n_events <= MAX_INLINE_EVENTS:

@@ -1,8 +1,8 @@
 """Verify-event vocabulary and the log the protocols emit into.
 
-Each event is a :class:`~repro.sim.tracing.TraceRecord` whose ``kind`` is
-one of the ``EV_*`` constants below and whose ``detail`` tuple follows the
-schema documented next to each constant.  Emission sites live in
+Each event is a :class:`TraceRecord` whose ``kind`` is one of the
+``EV_*`` constants below and whose ``detail`` tuple follows the schema
+documented next to each constant.  Emission sites live in
 :mod:`repro.protocol.hlrc` / :mod:`repro.protocol.aurc` behind a single
 ``ctx.verify is not None`` attribute check — the exact pattern used by
 :mod:`repro.core.stats` — so disabled runs pay one pointer compare per
@@ -22,7 +22,7 @@ placement, not by timestamps):
   refetching the page cannot be reordered ahead of the invalidation.
 """
 
-from repro.sim.tracing import Tracer
+from typing import Any, List, NamedTuple
 
 #: (proc, node, page, home) — a completed read of a *non-home* page.
 EV_READ = "read"
@@ -79,13 +79,21 @@ ALL_KINDS = (
 )
 
 
-class VerifyLog(Tracer):
-    """Unbounded tracer dedicated to protocol conformance events.
+class TraceRecord(NamedTuple):
+    """One protocol event: when it happened, its ``EV_*`` kind, its detail."""
 
-    A separate class (rather than reusing the cluster's debug tracer) so
-    the oracle's event stream can never be truncated by a user-set record
-    limit or filtered by a ``kinds`` whitelist.
-    """
+    time: int
+    kind: str
+    detail: Any
+
+
+class VerifyLog:
+    """The ordered, unbounded list of protocol events the oracle replays."""
+
+    __slots__ = ("records",)
 
     def __init__(self) -> None:
-        super().__init__(limit=None, kinds=None)
+        self.records: List[TraceRecord] = []
+
+    def record(self, time: int, kind: str, detail: Any) -> None:
+        self.records.append(TraceRecord(time, kind, detail))

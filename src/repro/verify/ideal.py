@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.apps.base import BARRIER, RELEASE, WRITE, AppTrace
-from repro.sim.tracing import TraceRecord
-from repro.verify.events import EV_INTERVAL
+from repro.verify.events import EV_INTERVAL, TraceRecord
 
 #: page -> set of (proc, interval_number) versions
 VersionSets = Dict[int, FrozenSet[Tuple[int, int]]]

@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.sim.tracing import TraceRecord
 from repro.verify.events import (
     EV_ACQUIRE,
     EV_APPLY,
@@ -72,6 +71,7 @@ from repro.verify.events import (
     EV_TWIN,
     EV_TWIN_DROP,
     EV_WRITE,
+    TraceRecord,
 )
 
 #: default cap on recorded violations — a badly broken protocol (or an

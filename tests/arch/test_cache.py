@@ -98,7 +98,6 @@ def test_write_buffer_stalls_when_saturated():
     # one write per cycle cannot drain at one per 10 cycles
     burst = WriteBurst(writes=1000, duration=1000)
     assert wb.stall_cycles(burst) > 0
-    assert 0 < wb.stall_fraction(burst) <= 1.0
 
 
 def test_write_buffer_headroom_absorbs_small_bursts():

@@ -83,7 +83,7 @@ def test_unregister_restores_quiet_bus():
     bus = MemoryBus(Simulator(), arch)
     bus.register_background(1.0)
     bus.unregister_background(1.0)
-    assert bus.background_rate == 0.0
+    assert bus.bandwidth() == arch.membus_bytes_per_cycle
     assert bus.stall_multiplier(0.0, 1000) == pytest.approx(1.0)
 
 

@@ -119,7 +119,3 @@ def test_replace_returns_new_frozen_instance():
     assert ACHIEVABLE.interrupt_cost == 500
     with pytest.raises(dataclasses.FrozenInstanceError):
         cp.interrupt_cost = 1  # type: ignore[misc]
-
-
-def test_arch_params_cycles_per_us():
-    assert ArchParams().cycles_per_us() == 200

@@ -223,23 +223,21 @@ def test_wait_for_charges_category():
     assert cpu.stats.time["data_wait"] == 250
 
 
-def test_stats_counters_and_merge():
+def test_stats_counters_and_busy_cycles():
     from repro.arch import ProcessorStats
 
-    a = ProcessorStats()
-    b = ProcessorStats()
-    a.add("compute", 10)
-    a.count("page_fetches", 2)
-    b.add("compute", 5)
-    b.add("handler", 7)
-    b.count("page_fetches", 1)
-    b.count("messages", 4)
-    m = a.merged_with(b)
-    assert m.time["compute"] == 15
-    assert m.time["handler"] == 7
-    assert m.get_count("page_fetches") == 3
-    assert m.get_count("messages") == 4
-    assert m.busy_cycles == 22
+    s = ProcessorStats()
+    s.add("compute", 15)
+    s.add("handler", 7)
+    s.count("page_fetches", 2)
+    s.count("page_fetches", 1)
+    s.count("messages", 4)
+    assert s.time["compute"] == 15
+    assert s.time["handler"] == 7
+    assert s.get_count("page_fetches") == 3
+    assert s.get_count("messages") == 4
+    assert s.get_count("never") == 0
+    assert s.busy_cycles == 22
 
 
 def test_stats_validation():

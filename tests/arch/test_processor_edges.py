@@ -33,15 +33,15 @@ def test_run_block_without_bus():
     assert cpu.stats.time["local_stall"] == 50
 
 
-def test_wait_cycles_charges_but_does_not_occupy():
-    """wait_cycles models blocked (not CPU-busy) time: a concurrent
+def test_blocked_wait_charges_but_does_not_occupy():
+    """wait_for models blocked (not CPU-busy) time: a concurrent
     handler does not extend it."""
     sim = Simulator()
     cpu = Processor(sim, 0)
     done = []
 
     def app():
-        yield from cpu.wait_cycles(1000, "barrier_wait")
+        yield from cpu.wait_for(sim.timeout(1000), "barrier_wait")
         done.append(sim.now)
 
     def irq():
@@ -106,7 +106,7 @@ def test_background_registration_balanced_after_block():
 
     sim.spawn(app())
     sim.run()
-    assert bus.background_rate == pytest.approx(0.0)
+    assert bus.bandwidth() == pytest.approx(ArchParams().membus_bytes_per_cycle)
 
 
 def test_finish_time_initially_none():

@@ -10,7 +10,7 @@ from repro.core import runcache
 from repro.core.config import ClusterConfig
 from repro.core import executor
 from repro.core.executor import GridExecutionError, Point, resolve_jobs, run_points
-from repro.core.sweeps import cached_lookup, clear_caches, run_apps, sweep_comm_param
+from repro.core.sweeps import cached_lookup, clear_caches, sweep_comm_param
 
 #: a small 3-app x 3-point grid (distinct interrupt costs force real runs)
 GRID_APPS = ("fft", "lu", "water-sp")
@@ -92,13 +92,13 @@ def test_run_points_populates_shared_caches(fresh):
     assert cached_lookup(*p) is not None
 
 
-def test_sweep_and_run_apps_accept_jobs(fresh):
+def test_sweep_and_run_points_accept_jobs(fresh):
     results = sweep_comm_param(
         "lu", "host_overhead", HOST_OVERHEAD_SWEEP[:2], scale=GRID_SCALE, jobs=2
     )
     assert len(results) == 2
-    out = run_apps(apps=["lu", "fft"], scale=GRID_SCALE, jobs=2)
-    assert set(out) == {"lu", "fft"}
+    out = run_points([(name, GRID_SCALE, ClusterConfig()) for name in ("lu", "fft")], jobs=2)
+    assert [r.app_name for r in out] == ["lu", "fft"]
 
 
 def test_resolve_jobs_precedence(monkeypatch):

@@ -73,13 +73,6 @@ def test_time_breakdown_totals():
     assert sum(fr.values()) == pytest.approx(1.0)
 
 
-def test_slowdown_vs_symmetry():
-    fast = make_result(total=400_000)
-    slow = make_result(total=800_000)
-    assert slow.slowdown_vs(fast) == pytest.approx(0.5)
-    assert fast.slowdown_vs(slow) == pytest.approx(-1.0)
-
-
 def test_summary_contains_key_fields():
     text = make_result().summary()
     assert "synthetic" in text

@@ -1,16 +1,11 @@
 """Tests for report formatting and the sweep/caching helpers."""
 
-import pytest
-
 from repro.core import ClusterConfig
 from repro.core.reporting import format_percent, format_table
 from repro.core.sweeps import (
     cached_run,
     cached_trace,
     clear_caches,
-    max_slowdown,
-    run_apps,
-    slowdown_between,
     sweep_comm_param,
 )
 
@@ -78,15 +73,5 @@ def test_sweep_comm_param_monotone_interrupts():
     clear_caches()
     results = sweep_comm_param("raytrace", "interrupt_cost", (0, 10000), scale=0.2)
     assert len(results) == 2
-    assert results[0].speedup > results[1].speedup
-    assert max_slowdown(results) > 0
-    assert slowdown_between(results[0], results[1]) == pytest.approx(
-        max_slowdown(results)
-    )
-
-
-def test_run_apps_subset():
-    clear_caches()
-    out = run_apps(apps=["lu", "water-sp"], scale=0.2)
-    assert set(out) == {"lu", "water-sp"}
-    assert all(r.speedup > 0 for r in out.values())
+    fast, slow = (r.speedup for r in results)
+    assert fast > slow > 0

@@ -1,4 +1,4 @@
-"""Metrics registry unit tests: zero-cost disable, interval bookkeeping."""
+"""Metrics registry unit tests: counters, interval bookkeeping, exports."""
 
 import pytest
 
@@ -85,22 +85,6 @@ def test_registry_counters_and_cycles():
     reg.add_cycles("handler.page_fetch", 250)
     assert reg.counters == {"nic.sent": 3}
     assert reg.cycles == {"handler.page_fetch": 1000}
-
-
-def test_disabled_registry_collects_nothing():
-    """Soft-disabled registry: every reporting call is a cheap no-op."""
-    reg = MetricsRegistry(enabled=False)
-    reg.bump("x")
-    reg.add_cycles("y", 10)
-    reg.begin_busy("cpu", 0)
-    reg.end_busy("cpu", 10)
-    reg.sample_queue("bus", 3)
-    reg.phase_mark(100, "barrier.0", {"compute": 50})
-    assert reg.counters == {}
-    assert reg.cycles == {}
-    assert reg.busy == {}
-    assert reg.queue_depths == {}
-    assert reg.phase_marks == []
 
 
 def test_registry_busy_export_closes_open_intervals():

@@ -63,20 +63,15 @@ def test_explicit_assignment_and_conflict():
     d.assign_home(5, 3)  # idempotent re-assignment is fine
 
 
-def test_assign_many_and_balance():
-    d = PageDirectory(page_size=4096, n_nodes=2)
-    d.assign_many(range(0, 4), 0)
-    d.assign_many(range(4, 8), 1)
-    assert d.homes_by_node() == {0: 4, 1: 4}
-    assert d.assigned_pages == 8
-
-
-def test_peek_home_has_no_side_effect():
+def test_homes_snapshot_has_no_side_effect():
     d = PageDirectory(page_size=4096, n_nodes=4, policy="round_robin")
-    assert d.peek_home(3) is None
+    assert d.homes() == {}
     assert d.assigned_pages == 0
     d.home(3)
-    assert d.peek_home(3) == 3
+    snapshot = d.homes()
+    assert snapshot == {3: 3}
+    snapshot[5] = 0  # a copy: mutating it assigns nothing
+    assert d.assigned_pages == 1
 
 
 def test_directory_validation():

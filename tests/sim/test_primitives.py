@@ -1,8 +1,8 @@
-"""Unit tests for Event combinators and tracing."""
+"""Unit tests for events and the AllOf join."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator, Tracer
+from repro.sim import AllOf, Event, Simulator
 
 
 def test_event_double_trigger_rejected():
@@ -90,61 +90,3 @@ def test_allof_propagates_failure():
     sim.schedule(5, evs[0].fail, ValueError("dead"))
     sim.run()
     assert caught == ["dead"]
-
-
-def test_anyof_first_wins():
-    sim = Simulator()
-    evs = [Event(sim) for _ in range(3)]
-    seen = []
-
-    def waiter():
-        idx, value = yield AnyOf(sim, evs)
-        seen.append((sim.now, idx, value))
-
-    sim.spawn(waiter())
-    sim.schedule(15, evs[1].succeed, "winner")
-    sim.schedule(20, evs[0].succeed, "loser")
-    sim.run()
-    assert seen == [(15, 1, "winner")]
-
-
-def test_anyof_pre_triggered():
-    sim = Simulator()
-    evs = [Event(sim), Event(sim).succeed("ready")]
-    seen = []
-
-    def waiter():
-        idx, value = yield AnyOf(sim, evs)
-        seen.append((idx, value))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert seen == [(1, "ready")]
-
-
-def test_tracer_collects_and_limits():
-    tracer = Tracer(limit=2)
-    tracer.record(1, "a", "x")
-    tracer.record(2, "b", "y")
-    tracer.record(3, "c", "z")  # beyond limit: dropped, tracer disabled
-    assert len(tracer.records) == 2
-    assert not tracer.enabled
-    assert "a" in tracer.dump()
-    tracer.clear()
-    assert tracer.enabled
-    assert tracer.records == []
-
-
-def test_tracer_kind_filter():
-    tracer = Tracer(kinds={"keep"})
-    tracer.record(1, "keep", "x")
-    tracer.record(1, "drop", "y")
-    assert [r.kind for r in tracer.records] == ["keep"]
-
-
-def test_simulator_with_tracer_records_dispatches():
-    tracer = Tracer()
-    sim = Simulator(tracer=tracer)
-    sim.schedule(5, lambda: None)
-    sim.run()
-    assert any(r.kind == "dispatch" for r in tracer.records)

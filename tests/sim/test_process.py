@@ -165,22 +165,6 @@ def test_yield_int_is_timeout_shorthand():
     assert log == [7, 7, 10]
 
 
-def test_interrupt_with_throws_into_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(1000)
-        except KeyboardInterrupt:
-            log.append(("interrupted", sim.now))
-
-    proc = sim.spawn(sleeper())
-    sim.schedule(7, proc.interrupt_with, KeyboardInterrupt())
-    sim.run(until=100)
-    assert log == [("interrupted", 7)]
-
-
 def test_spawn_inside_process():
     sim = Simulator()
     log = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FluidQueue, PriorityResource, Resource, Simulator, Store
+from repro.sim import FluidQueue, Resource, Simulator, Store
 
 
 # --------------------------------------------------------------------- #
@@ -88,58 +88,6 @@ def test_resource_counters():
     sim.run()
     assert res.in_use == 0
     assert res.queued == 0
-
-
-# --------------------------------------------------------------------- #
-# PriorityResource
-# --------------------------------------------------------------------- #
-def test_priority_resource_orders_waiters():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        yield res.acquire(priority=0)
-        yield sim.timeout(10)
-        res.release()
-
-    def waiter(tag, prio, delay):
-        yield sim.timeout(delay)
-        yield res.acquire(priority=prio)
-        order.append(tag)
-        yield sim.timeout(1)
-        res.release()
-
-    sim.spawn(holder())
-    # All three queue while the holder works; low priority value wins.
-    sim.spawn(waiter("low-prio-value", 0, 1))
-    sim.spawn(waiter("mid", 5, 2))
-    sim.spawn(waiter("high-prio-value", 9, 3))
-    sim.run()
-    assert order == ["low-prio-value", "mid", "high-prio-value"]
-
-
-def test_priority_resource_fifo_within_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        yield res.acquire()
-        yield sim.timeout(10)
-        res.release()
-
-    def waiter(tag):
-        yield sim.timeout(1)
-        yield res.acquire(priority=3)
-        order.append(tag)
-        res.release()
-
-    sim.spawn(holder())
-    for tag in range(5):
-        sim.spawn(waiter(tag))
-    sim.run()
-    assert order == list(range(5))
 
 
 # --------------------------------------------------------------------- #
@@ -274,8 +222,6 @@ def test_fluid_queue_utilization_tracking():
     assert q.requests == 1
     assert q.busy_cycles == 30
     assert q.utilization() == pytest.approx(0.3)
-    q.reset_stats()
-    assert q.busy_cycles == 0
 
 
 def test_fluid_queue_matches_event_based_fcfs():

@@ -57,15 +57,22 @@ def test_verify_does_not_perturb_faulty_runs(protocol):
     _assert_identical(plain, checked)
 
 
-def test_env_var_enables_verification(monkeypatch):
+def test_env_var_does_not_enable_verification(tmp_path, monkeypatch):
+    """The oracle is part of the config (and so of the run-cache key):
+    an environment variable must not slip verify meta into a record
+    stored under the unverified config's key."""
+    from repro.core import runcache
+    from repro.core.executor import run_points
+    from repro.core.sweeps import clear_caches
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_VERIFY", "1")
-    trace = migratory(1, 2, 8, 500)
-    cfg = base_config("hlrc", ppn=2)
-    assert cfg.verify is False
-    result = run_simulation(trace, cfg)
-    assert result.meta["verify.events"] > 0
+    runcache.reset_disk_cache()
+    clear_caches()
+    try:
+        (result,) = run_points([("fft", SCALE, ClusterConfig())], jobs=1)
+    finally:
+        runcache.reset_disk_cache()
+        clear_caches()
+    assert not [key for key in result.meta if key.startswith("verify.")]
     assert result.violations == []
-    monkeypatch.setenv("REPRO_VERIFY", "0")
-    result2 = run_simulation(trace, cfg)
-    assert "verify.events" not in result2.meta
-    assert result2.total_cycles == result.total_cycles
