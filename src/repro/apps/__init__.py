@@ -2,10 +2,11 @@
 
 Ten applications, trace-generated from their real data layouts and
 sharing patterns — see :mod:`repro.apps.base` for the substitution
-rationale and the event model.
+rationale and the event model.  Each generator's module is imported
+when :func:`make_generator` first asks for it (see
+:mod:`repro.apps.registry`).
 """
 
-from repro.apps.barnes import BarnesRebuildGenerator, BarnesSpaceGenerator
 from repro.apps.base import (
     ACQUIRE,
     BARRIER,
@@ -19,11 +20,6 @@ from repro.apps.base import (
     AppTrace,
     GenParams,
 )
-from repro.apps.fft import FFTGenerator
-from repro.apps.lu import LUGenerator
-from repro.apps.ocean import OceanGenerator
-from repro.apps.radix import RadixGenerator
-from repro.apps.raytrace import RaytraceGenerator
 from repro.apps.registry import (
     APP_ORDER,
     IRREGULAR_APPS,
@@ -32,8 +28,6 @@ from repro.apps.registry import (
     get_app,
     make_generator,
 )
-from repro.apps.volrend import VolrendGenerator
-from repro.apps.water import WaterNsquaredGenerator, WaterSpatialGenerator
 
 __all__ = [
     "ACQUIRE",
@@ -42,24 +36,14 @@ __all__ = [
     "AppGenerator",
     "AppTrace",
     "BARRIER",
-    "BarnesRebuildGenerator",
-    "BarnesSpaceGenerator",
     "COMPUTE",
-    "FFTGenerator",
     "GenParams",
     "IRREGULAR_APPS",
-    "LUGenerator",
-    "OceanGenerator",
     "READ",
     "REGULAR_APPS",
     "RELEASE",
-    "RadixGenerator",
-    "RaytraceGenerator",
     "TOUCH",
-    "VolrendGenerator",
     "WRITE",
-    "WaterNsquaredGenerator",
-    "WaterSpatialGenerator",
     "app_names",
     "get_app",
     "make_generator",

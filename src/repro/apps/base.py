@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.arch.cache import BlockAccessProfile, CacheModel
 from repro.arch.params import ArchParams
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: event-kind tags
 COMPUTE = "c"
@@ -62,7 +63,10 @@ class GenParams:
     seed: int = 42
 
     def rng(self, salt: int = 0) -> np.random.Generator:
-        return np.random.default_rng(self.seed * 1_000_003 + salt)
+        # imported on first use, so that ``import repro`` does not load numpy
+        from numpy.random import default_rng
+
+        return default_rng(self.seed * 1_000_003 + salt)
 
 
 @dataclass
@@ -185,26 +189,19 @@ class AppGenerator(abc.ABC):
     @staticmethod
     def touch_events(space: AddressSpace, base: int, nbytes: int) -> List[Event]:
         """First-touch events for a region (placement initialization)."""
-        r = space.pages_of(base, nbytes)
-        return [(TOUCH, p) for p in np.arange(r.start, r.stop).tolist()]
-
-    @staticmethod
-    def read_pages(pages: Sequence[int]) -> List[Event]:
-        return [(READ, p) for p in np.asarray(pages, dtype=np.int64).tolist()]
+        return [(TOUCH, p) for p in space.pages_of(base, nbytes)]
 
     @staticmethod
     def read_region(space: AddressSpace, addr: int, nbytes: int) -> List[Event]:
-        """READ events for every page of a byte region, batched."""
-        r = space.pages_of(addr, nbytes)
-        return [(READ, p) for p in np.arange(r.start, r.stop).tolist()]
+        """READ events for every page of a byte region."""
+        return [(READ, p) for p in space.pages_of(addr, nbytes)]
 
     @staticmethod
     def write_region(
         space: AddressSpace, addr: int, nbytes: int, words: int, runs: int = 1
     ) -> List[Event]:
         """WRITE events (same words/runs) for every page of a region."""
-        r = space.pages_of(addr, nbytes)
-        return [(WRITE, p, words, runs) for p in np.arange(r.start, r.stop).tolist()]
+        return [(WRITE, p, words, runs) for p in space.pages_of(addr, nbytes)]
 
     @staticmethod
     def serial_from_blocks(events: List[List[Event]], serial_stall_factor: float = 1.0) -> int:
@@ -212,15 +209,10 @@ class AppGenerator(abc.ABC):
         stall component scaled by ``serial_stall_factor`` (serial runs see
         worse cache behaviour when the full working set exceeds the cache
         — the paper's Ocean caveat).
-
-        The per-block arithmetic is batched through numpy; truncation of
-        the scaled stall matches ``int(stall * factor)`` exactly because
-        both truncate the same float64 product toward zero.
         """
-        blocks = [ev for evs in events for ev in evs if ev[0] == COMPUTE]
-        if not blocks:
-            return 0
-        work = np.fromiter((ev[1] for ev in blocks), dtype=np.int64, count=len(blocks))
-        stall = np.fromiter((ev[2] for ev in blocks), dtype=np.int64, count=len(blocks))
-        scaled = (stall * serial_stall_factor).astype(np.int64)
-        return int(work.sum() + scaled.sum())
+        return sum(
+            ev[1] + int(ev[2] * serial_stall_factor)
+            for evs in events
+            for ev in evs
+            if ev[0] == COMPUTE
+        )

@@ -21,8 +21,6 @@ import math
 
 from repro.apps.base import (
     BARRIER,
-    COMPUTE,
-    WRITE,
     AddressSpace,
     AppGenerator,
     AppTrace,

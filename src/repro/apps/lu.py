@@ -22,7 +22,6 @@ import math
 
 from repro.apps.base import (
     BARRIER,
-    WRITE,
     AddressSpace,
     AppGenerator,
     AppTrace,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.apps.base import (
     BARRIER,
-    WRITE,
     AddressSpace,
     AppGenerator,
     AppTrace,

@@ -3,17 +3,10 @@ display order and grouping."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import importlib
+from typing import List, Optional
 
-from repro.apps.barnes import BarnesRebuildGenerator, BarnesSpaceGenerator
 from repro.apps.base import AppGenerator, AppTrace, GenParams
-from repro.apps.fft import FFTGenerator
-from repro.apps.lu import LUGenerator
-from repro.apps.ocean import OceanGenerator
-from repro.apps.radix import RadixGenerator
-from repro.apps.raytrace import RaytraceGenerator
-from repro.apps.volrend import VolrendGenerator
-from repro.apps.water import WaterNsquaredGenerator, WaterSpatialGenerator
 
 #: the paper's ten applications, in Figure 1 display order
 APP_ORDER = (
@@ -33,20 +26,20 @@ APP_ORDER = (
 REGULAR_APPS = ("fft", "lu", "ocean")
 IRREGULAR_APPS = tuple(a for a in APP_ORDER if a not in REGULAR_APPS)
 
-_GENERATORS: Dict[str, type] = {
-    g.name: g
-    for g in (
-        FFTGenerator,
-        LUGenerator,
-        OceanGenerator,
-        WaterNsquaredGenerator,
-        WaterSpatialGenerator,
-        RadixGenerator,
-        RaytraceGenerator,
-        VolrendGenerator,
-        BarnesRebuildGenerator,
-        BarnesSpaceGenerator,
-    )
+#: registry name -> (module in ``repro.apps``, generator class).  A
+#: generator's module is imported when its name is first asked for, so
+#: a process that never generates a trace never imports numpy.
+_GENERATORS = {
+    "fft": ("fft", "FFTGenerator"),
+    "lu": ("lu", "LUGenerator"),
+    "ocean": ("ocean", "OceanGenerator"),
+    "water-nsq": ("water", "WaterNsquaredGenerator"),
+    "water-sp": ("water", "WaterSpatialGenerator"),
+    "radix": ("radix", "RadixGenerator"),
+    "raytrace": ("raytrace", "RaytraceGenerator"),
+    "volrend": ("volrend", "VolrendGenerator"),
+    "barnes-rebuild": ("barnes", "BarnesRebuildGenerator"),
+    "barnes-space": ("barnes", "BarnesSpaceGenerator"),
 }
 
 
@@ -57,11 +50,12 @@ def app_names() -> List[str]:
 def make_generator(name: str, **kwargs) -> AppGenerator:
     """Instantiate a generator by registry name."""
     try:
-        cls = _GENERATORS[name]
+        module, cls_name = _GENERATORS[name]
     except KeyError:
         raise ValueError(
             f"unknown application {name!r}; available: {sorted(_GENERATORS)}"
         ) from None
+    cls = getattr(importlib.import_module(f"repro.apps.{module}"), cls_name)
     return cls(**kwargs)
 
 

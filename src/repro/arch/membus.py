@@ -61,9 +61,6 @@ class MemoryBus:
         self._bpc = arch.membus_bytes_per_cycle
         #: summed background demand currently registered (bytes/cycle)
         self._bg_rate = 0.0
-        #: statistics
-        self.transfer_count = 0
-        self.transfer_bytes = 0
         #: optional metrics registry (None = disabled, single check per transfer)
         self.metrics = None
 
@@ -84,8 +81,6 @@ class MemoryBus:
         if nbytes < 0:
             raise ValueError("negative transfer size")
         service = arb + nbytes / self.bandwidth()
-        self.transfer_count += 1
-        self.transfer_bytes += nbytes
         if self.metrics is not None:
             self.meter(kind, nbytes)
         return self.queue.latency(service)

@@ -22,7 +22,6 @@ from repro.arch.processor import TIME_CATEGORIES, ProcessorStats
 BUSY_CATEGORIES = ("compute", "local_stall", "handler", "overhead", "protocol")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.apps.base import AppTrace
     from repro.core.config import ClusterConfig
     from repro.protocol.base import ProtocolCounters
 
@@ -60,7 +59,7 @@ class RunResult:
     metrics_cycles: Dict[str, int] = field(default_factory=dict)
     #: queue-depth summaries: name -> {mean, max, samples}
     queue_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: happens-before oracle findings (repro.verify.ConsistencyViolation);
+    #: happens-before oracle findings (repro.verify.oracle.ConsistencyViolation);
     #: empty unless the run had verification enabled and an invariant broke
     violations: List[Any] = field(default_factory=list)
 

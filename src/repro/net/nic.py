@@ -195,8 +195,6 @@ class NetworkInterface:
 
         # sender memory bus
         bus = self.membus
-        bus.transfer_count += 1
-        bus.transfer_bytes += wire
         if bus.metrics is not None:
             bus.meter("ni_out", wire)
         bpc = bus.bandwidth() if bus._bg_rate else bus._bpc
@@ -205,7 +203,6 @@ class NetworkInterface:
         start = q._free_at if q._free_at > now else now
         q._free_at = start + service
         q.busy_cycles += service
-        q.requests += 1
         slowest = total = q._free_at - now
         # I/O buses (an empty DMA skips the bus, as dma_latency(0) does)
         # around the link
@@ -218,7 +215,6 @@ class NetworkInterface:
             start = q._free_at if q._free_at > now else now
             q._free_at = start + service
             q.busy_cycles += service
-            q.requests += 1
             stage = q._free_at - now
         total += stage
         if stage > slowest:
@@ -237,15 +233,12 @@ class NetworkInterface:
             start = q._free_at if q._free_at > now else now
             q._free_at = start + service
             q.busy_cycles += service
-            q.requests += 1
             stage = q._free_at - now
         total += stage
         if stage > slowest:
             slowest = stage
         # receiver memory bus
         bus = peer.membus
-        bus.transfer_count += 1
-        bus.transfer_bytes += wire
         if bus.metrics is not None:
             bus.meter("ni_in", wire)
         bpc = bus.bandwidth() if bus._bg_rate else bus._bpc
@@ -254,7 +247,6 @@ class NetworkInterface:
         start = q._free_at if q._free_at > now else now
         q._free_at = start + service
         q.busy_cycles += service
-        q.requests += 1
         stage = q._free_at - now
         total += stage
         if stage > slowest:
@@ -267,7 +259,6 @@ class NetworkInterface:
                 start = q._free_at if q._free_at > now else now
                 q._free_at = start + service
                 q.busy_cycles += service
-                q.requests += 1
                 stage = q._free_at - now
                 total += stage
                 if stage > slowest:

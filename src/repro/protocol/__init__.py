@@ -23,9 +23,6 @@ from repro.protocol.base import (
     ProtocolCounters,
 )
 from repro.protocol.diffs import (
-    Diff,
-    apply_diff,
-    compute_diff,
     diff_apply_cost,
     diff_create_cost,
     diff_wire_bytes,
@@ -47,7 +44,6 @@ __all__ = [
     "ACK_BYTES",
     "AURCProtocol",
     "BarrierManager",
-    "Diff",
     "GRANT_BASE_BYTES",
     "HLRCProtocol",
     "IntervalLog",
@@ -65,8 +61,6 @@ __all__ = [
     "TAG_TOKEN_RETURN",
     "VectorClock",
     "WRITE_NOTICE_BYTES",
-    "apply_diff",
-    "compute_diff",
     "diff_apply_cost",
     "diff_create_cost",
     "diff_wire_bytes",

@@ -22,7 +22,7 @@ automatic update).  Consequences, all modelled here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from repro.protocol.diffs import page_words
 from repro.protocol.hlrc import HLRCProtocol

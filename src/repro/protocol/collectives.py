@@ -45,7 +45,7 @@ compute).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.protocol.base import GRANT_BASE_BYTES
 

@@ -1,70 +1,26 @@
-"""Twin/diff machinery for HLRC.
+"""Twin/diff cost model for HLRC.
 
 HLRC propagates updates as *diffs*: on the first write to a non-home page
 in an interval, the writer copies the page (the *twin*); at a release it
 word-compares twin against current contents and ships only the changed
 words to the home, which applies them to the master copy.
 
-Two layers live here:
-
-* a **functional** implementation over numpy arrays (:func:`compute_diff`,
-  :func:`apply_diff`) used by correctness/property tests — the invariant
-  ``apply_diff(twin, compute_diff(twin, cur)) == cur`` is what makes
-  diff-based propagation sound;
-* the **cost model** the timing simulation charges (paper Section 2): a
-  fixed cost per word *compared* plus a cost per word actually *included*
-  in the diff, and a copy cost per word for twin creation.
+The timing simulation charges this work by the paper's cost model
+(Section 2): a fixed cost per word *compared* plus a cost per word
+actually *included* in the diff, and a copy cost per word for twin
+creation.  A functional diff over page contents, with the soundness
+invariant ``apply_diff(twin, compute_diff(twin, cur)) == cur``, lives in
+``tests/protocol/test_diffs.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.params import ArchParams
 
 
-@dataclass(frozen=True)
-class Diff:
-    """Changed words of a page: positions and new values."""
-
-    indices: np.ndarray  # int32 word offsets within the page
-    values: np.ndarray  # uint32 new word values
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices/values length mismatch")
-
-    @property
-    def word_count(self) -> int:
-        return int(len(self.indices))
-
-    def wire_bytes(self, word_bytes: int = 4) -> int:
-        """Bytes on the wire: per-word (offset, value) pairs."""
-        return self.word_count * (4 + word_bytes)
-
-
-def compute_diff(twin: np.ndarray, current: np.ndarray) -> Diff:
-    """Word-compare ``current`` against ``twin`` and extract the changes."""
-    if twin.shape != current.shape:
-        raise ValueError("twin and current page differ in size")
-    changed = np.flatnonzero(twin != current)
-    return Diff(indices=changed.astype(np.int32), values=current[changed].copy())
-
-
-def apply_diff(base: np.ndarray, diff: Diff) -> None:
-    """Apply ``diff`` to ``base`` in place (the home's master copy)."""
-    if diff.word_count and int(diff.indices.max()) >= len(base):
-        raise ValueError("diff index beyond page bounds")
-    base[diff.indices] = diff.values
-
-
-# --------------------------------------------------------------------- #
-# cost model
-# --------------------------------------------------------------------- #
 def page_words(arch: "ArchParams", page_size: int) -> int:
     return page_size // arch.word_bytes
 

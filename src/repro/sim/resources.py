@@ -132,7 +132,7 @@ class FluidQueue:
         cycles at this bandwidth.
     """
 
-    __slots__ = ("sim", "name", "bytes_per_cycle", "_free_at", "busy_cycles", "requests")
+    __slots__ = ("sim", "name", "bytes_per_cycle", "_free_at", "busy_cycles")
 
     def __init__(
         self,
@@ -145,7 +145,6 @@ class FluidQueue:
         self.bytes_per_cycle = bytes_per_cycle
         self._free_at: int = 0
         self.busy_cycles: int = 0
-        self.requests: int = 0
 
     # ------------------------------------------------------------------ #
     def latency(self, service: float) -> int:
@@ -160,7 +159,6 @@ class FluidQueue:
         start = now if now > self._free_at else self._free_at
         self._free_at = start + service_i
         self.busy_cycles += service_i
-        self.requests += 1
         return self._free_at - now
 
     def transfer(self, nbytes: int) -> int:

@@ -104,5 +104,5 @@ def test_queue_backlog_contributes_to_block_utilization():
 def test_transfer_statistics(bus):
     bus.transfer_latency(100)
     bus.transfer_latency(200)
-    assert bus.transfer_count == 2
-    assert bus.transfer_bytes == 300
+    arb, bpc = bus._arb["mem"], bus.bandwidth()
+    assert bus.queue.busy_cycles == sum(-(-(arb + n / bpc) // 1) for n in (100, 200))

@@ -1,7 +1,6 @@
 """End-to-end property tests: random well-formed trace programs must run
 to completion with protocol invariants intact, on both protocols."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

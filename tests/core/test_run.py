@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import get_app
 from repro.apps.base import AppTrace
-from repro.core import ClusterConfig, RunResult, geometric_mean, run_simulation
+from repro.core import ClusterConfig, geometric_mean, run_simulation
 
 
 @pytest.fixture(scope="module")

@@ -287,4 +287,5 @@ def test_zero_occupancy_skips_ni_core():
     sim.spawn(receiver())
     sim.spawn(sender())
     sim.run()
-    assert cluster.nodes[0].nic.core.requests == 0
+    core = cluster.nodes[0].nic.core
+    assert (core._free_at, core.busy_cycles) == (0, 0)

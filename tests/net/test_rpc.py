@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import ArchParams, CommParams
+from repro.arch import CommParams
 from repro.sim import Simulator
 
 from tests.net.conftest import make_cluster

@@ -1,7 +1,5 @@
 """Tests for the AURC (automatic update) protocol variant."""
 
-import pytest
-
 from tests.protocol.conftest import build, run_workers
 
 

@@ -1,4 +1,11 @@
-"""Unit and property tests for twin/diff machinery and its cost model."""
+"""Unit and property tests for twin/diff machinery and its cost model.
+
+The simulator charges diffs by the cost model alone; the functional diff
+below (twin vs current page over numpy arrays) is the reference for the
+invariant that makes diff-based propagation sound.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,14 +15,47 @@ from hypothesis.extra.numpy import arrays
 
 from repro.arch import ArchParams
 from repro.protocol import (
-    apply_diff,
-    compute_diff,
     diff_apply_cost,
     diff_create_cost,
     diff_wire_bytes,
     page_words,
     twin_cost,
 )
+
+
+@dataclass(frozen=True)
+class Diff:
+    """Changed words of a page: positions and new values."""
+
+    indices: np.ndarray  # int32 word offsets within the page
+    values: np.ndarray  # uint32 new word values
+
+    def __post_init__(self) -> None:
+        if len(self.indices) != len(self.values):
+            raise ValueError("indices/values length mismatch")
+
+    @property
+    def word_count(self) -> int:
+        return int(len(self.indices))
+
+    def wire_bytes(self, word_bytes: int = 4) -> int:
+        """Bytes on the wire: per-word (offset, value) pairs."""
+        return self.word_count * (4 + word_bytes)
+
+
+def compute_diff(twin: np.ndarray, current: np.ndarray) -> Diff:
+    """Word-compare ``current`` against ``twin`` and extract the changes."""
+    if twin.shape != current.shape:
+        raise ValueError("twin and current page differ in size")
+    changed = np.flatnonzero(twin != current)
+    return Diff(indices=changed.astype(np.int32), values=current[changed].copy())
+
+
+def apply_diff(base: np.ndarray, diff: Diff) -> None:
+    """Apply ``diff`` to ``base`` in place (the home's master copy)."""
+    if diff.word_count and int(diff.indices.max()) >= len(base):
+        raise ValueError("diff index beyond page bounds")
+    base[diff.indices] = diff.values
 
 
 def test_compute_diff_finds_changes():

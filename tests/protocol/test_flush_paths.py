@@ -1,7 +1,5 @@
 """Tests for release-flush batching, dirty clamping and write paths."""
 
-import pytest
-
 from repro.arch import ArchParams
 from repro.protocol import diff_wire_bytes, page_words
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Process, ProcessCrash, Simulator
+from repro.sim import Event, ProcessCrash, Simulator
 
 
 def test_simple_timeout_sequence():
