@@ -1,6 +1,6 @@
 """Plain-text table rendering and structured result export.
 
-The benchmark harness prints the same rows/series the paper reports;
+The experiment tables print the same rows/series the paper reports;
 these helpers keep that output consistent and diff-friendly.  The
 observability layer adds machine-readable export: one flat record per
 :class:`~repro.core.metrics.RunResult` (speedup, time breakdown,

@@ -13,6 +13,9 @@ order.  :func:`run` regenerates one experiment;
 one pass and then renders them all.  ``apps=None`` means each
 experiment's own default applications.  See DESIGN.md's experiment
 index for the paper-to-module mapping.
+
+:mod:`repro.experiments.claims` holds the paper's qualitative claims as
+one table, checked against the committed full-scale ``results/*.json``.
 """
 
 from typing import Dict, Optional

@@ -34,7 +34,7 @@ def _normalized(values: Dict[str, float]) -> Dict[str, float]:
     return {k: v / top for k, v in values.items()}
 
 
-def _rank_correlation(a: Dict[str, float], b: Dict[str, float]) -> float:
+def rank_correlation(a: Dict[str, float], b: Dict[str, float]) -> float:
     """Spearman rank correlation of two same-keyed series."""
     keys = sorted(a)
     n = len(keys)
@@ -124,7 +124,7 @@ def render(c: Correlation, scale: float, apps: Apps, results: Results) -> Experi
         metrics[name] = c.metric(baseline)
     norm_slow = _normalized(slowdowns)
     norm_metric = _normalized(metrics)
-    rho = _rank_correlation(slowdowns, metrics)
+    rho = rank_correlation(slowdowns, metrics)
     rows: List[List] = [
         [name, round(norm_slow[name], 3), round(norm_metric[name], 3)]
         for name in sorted(norm_slow, key=norm_slow.get, reverse=True)
