@@ -24,11 +24,12 @@ cost breakdowns (Section 7).
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, Iterator, Optional
 
 from repro.sim.primitives import Event, Waitable
-from repro.sim.process import ProcessCrash
+from repro.sim.process import _RESUME_ARGS, ProcessCrash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.membus import MemoryBus
@@ -137,13 +138,6 @@ class Processor:
     # ------------------------------------------------------------------ #
     # handler-time bookkeeping
     # ------------------------------------------------------------------ #
-    def handler_busy_now(self) -> int:
-        """Cumulative handler-busy cycles on this CPU as of now."""
-        busy = self._handler_busy_completed
-        if self._active_start is not None:
-            busy += self.sim.now - self._active_start
-        return busy
-
     @property
     def handler_active(self) -> bool:
         return self._active_start is not None
@@ -186,9 +180,13 @@ class Processor:
                 yield self._active_end
             if remaining <= 0:
                 break
-            busy_before = self.handler_busy_now()
+            # handler-busy cycles over the window: none is active at its
+            # start; one still running at its end counts up to now
+            busy_before = self._handler_busy_completed
             yield remaining
-            remaining = self.handler_busy_now() - busy_before
+            remaining = self._handler_busy_completed - busy_before
+            if self._active_start is not None:
+                remaining += self.sim.now - self._active_start
 
     def busy(self, cycles: int, category: str) -> Generator:
         """Occupy the CPU and charge the time to ``category``.
@@ -199,7 +197,9 @@ class Processor:
         a hop.
         """
         cycles = int(cycles)
-        self.stats.add(category, cycles)
+        if cycles < 0:
+            raise ValueError(f"negative time {cycles} for {category!r}")
+        self.stats.time[category] += cycles  # ProcessorStats.add, inline
         return self._occupied(cycles)
 
     def run_block(
@@ -372,8 +372,20 @@ class HandlerRun:
             raise ProcessCrash(self, err) from err
 
         if target.__class__ is int:
-            # a bare integer yield is a timeout, as in a process
-            self.cpu.sim.schedule(target, self._wake, None)
+            # a bare integer yield is a timeout, as in a process, with
+            # the calendar insert inlined the way Process._step does it
+            sim = self.cpu.sim
+            if target < 0:
+                sim.schedule(target, self._wake, None)  # raises
+            when = sim.now + target
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                sim._buckets[when] = [self._wake, _RESUME_ARGS]
+                heappush(sim._times, when)
+            else:
+                bucket.append(self._wake)
+                bucket.append(_RESUME_ARGS)
+            sim._pending += 1
         elif isinstance(target, Waitable):
             target._wait(self)  # type: ignore[arg-type]
         else:

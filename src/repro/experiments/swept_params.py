@@ -126,7 +126,10 @@ SWEEP_FIGURES = {
             "Paper shape: clustering helps most applications (sharing and "
             "synchronization move into hardware); Ocean peaks at 4 per node "
             "because its local miss traffic saturates the shared memory bus; "
-            "lock-heavy applications gain the most at high clustering.",
+            "lock-heavy applications gain the most at high clustering. "
+            "This reproduction: at full scale 5 of 10 applications gain "
+            "from 1 to 8 per node, Ocean peaks at 1 per node and "
+            "Barnes-rebuild loses (ledger rows fig13-*).",
             labels=[f"{v}/node" for v in PROCS_PER_NODE_SWEEP],
         ),
     )

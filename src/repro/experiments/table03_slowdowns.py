@@ -73,6 +73,8 @@ def render(scale: float, apps: Apps, results: Results) -> ExperimentOutput:
             "bandwidth for the data-hungry few; host overhead and NI "
             "occupancy are minor; negative values are speedups (e.g. Radix "
             "prefers the large page size, and most applications prefer more "
-            "processors per node)."
+            "processors per node). This reproduction: at full scale "
+            "procs/node is negative for only 5 of 10 applications (ledger "
+            "row tab03-clustering-helps-most)."
         ),
     )

@@ -13,6 +13,7 @@ latency, with no queueing against other messages.
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,6 +46,8 @@ class Network:
         self.sim = sim
         self.bytes_per_cycle = bytes_per_cycle
         self.latency_cycles = latency_cycles
+        #: the latency as a calendar delay (rounded up, as schedule rounds)
+        self._latency = int(math.ceil(latency_cycles))
         #: destination-node id -> callback invoked when bytes arrive
         self._receivers: Dict[int, Callable[["Message", int], None]] = {}
         #: destination-node id -> NI object (for pipelined reservations)
@@ -88,8 +91,22 @@ class Network:
             receiver = self._receivers[msg.dst_node]
         except KeyError:
             raise ValueError(f"no NI attached for node {msg.dst_node}") from None
-        self._count(msg, wire_bytes)
-        self.sim.schedule(self.latency_cycles, receiver, msg, wire_bytes)
+        # _count and Simulator.schedule written out: one call per message
+        if self.metrics is None:
+            self.messages_carried += 1
+            self.bytes_carried += wire_bytes
+        else:
+            self._count(msg, wire_bytes)
+        sim = self.sim
+        when = sim.now + self._latency
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            sim._buckets[when] = [receiver, (msg, wire_bytes)]
+            heappush(sim._times, when)
+        else:
+            bucket.append(receiver)
+            bucket.append((msg, wire_bytes))
+        sim._pending += 1
 
     def transit_cycles(self, wire_bytes: int) -> int:
         """Serialization + constant latency for a message of this size."""

@@ -190,8 +190,9 @@ class MessagingLayer:
     ) -> Generator:
         """Pay host overhead and count the message on the sending CPU."""
         wire = msg.wire_bytes(self.arch.packet_mtu, self.arch.packet_header_bytes)
-        cpu.stats.count("messages_sent")
-        cpu.stats.count("bytes_sent", wire)
+        counters = cpu.stats.counters  # ProcessorStats.count, inline
+        counters["messages_sent"] = counters.get("messages_sent", 0) + 1
+        counters["bytes_sent"] = counters.get("bytes_sent", 0) + wire
         overhead = self._send_overhead
         if overhead:
             if in_handler:
@@ -238,10 +239,11 @@ class MessagingLayer:
         )
         yield from self._charge_send(cpu, msg, in_handler)
         self._post(msg)
-        if in_handler:
-            value = yield reply_ev
-        else:
-            value = yield from cpu.wait_for(reply_ev, wait_category)
+        # Processor.wait_for, inline; a handler's wait is handler time
+        t0 = self.sim.now
+        value = yield reply_ev
+        if not in_handler:
+            cpu.stats.time[wait_category] += self.sim.now - t0
         return value
 
     def remote_read(

@@ -22,6 +22,7 @@ subsystem (Section 3):
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 
 from repro.net.message import Message, MessageKind
@@ -184,9 +185,17 @@ class NetworkInterface:
                 self.on_queue_overflow()
             self.sim.schedule(max(1, iobus.queue.backlog // 2), self._tx_reserve, msg)
             return
-        packets = msg.packet_count(a.packet_mtu)
+        # the packet count memoized by the sender's charge, and a
+        # single-NI peer picked without a call; the methods otherwise
+        cached = msg._packets
+        if cached is not None and cached[0] == a.packet_mtu:
+            packets = cached[1]
+        else:
+            packets = msg.packet_count(a.packet_mtu)
         wire = msg.size_bytes + packets * a.packet_header_bytes  # as Message.wire_bytes
-        peer = self.network.endpoint(msg.dst_node).pick_rx()
+        peer = self.network._endpoints.get(msg.dst_node)
+        if peer.__class__ is not NetworkInterface:
+            peer = self.network.endpoint(msg.dst_node).pick_rx()
         msg.rx_nic = peer
         link_bpc = self.network.bytes_per_cycle
         if self.faults is not None:
@@ -265,7 +274,17 @@ class NetworkInterface:
                     slowest = stage
         # ablation: store-and-forward pays every stage in sequence
         delay = slowest if a.model_cut_through else total
-        self.sim.schedule(delay, self._tx_complete, msg, packets, wire)
+        # Simulator.schedule inlined: the delay is whole, non-negative cycles
+        sim = self.sim
+        when = now + delay
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            sim._buckets[when] = [self._tx_complete, (msg, packets, wire)]
+            heappush(sim._times, when)
+        else:
+            bucket.append(self._tx_complete)
+            bucket.append((msg, packets, wire))
+        sim._pending += 1
 
     def _tx_complete(self, msg: Message, packets: int, wire: int) -> None:
         self.messages_sent += 1
@@ -311,7 +330,9 @@ class NetworkInterface:
         # replies this node's own processors are blocked on — waits.
         # The request's *own* issue latency is charged by the interrupt
         # controller, so here it only delays followers.
-        delay = self.rx_gate.backlog if self.arch.model_rx_gate else 0
+        delay = 0
+        if self.arch.model_rx_gate:
+            delay = self.rx_gate._free_at - self.sim.now  # FluidQueue.backlog
         if self._rx_gate_hold_cycles and msg.kind is MessageKind.REQUEST:
             # The gate is held for issue + delivery: the single-threaded
             # assist cannot free the receive slot until the host has

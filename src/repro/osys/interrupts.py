@@ -91,7 +91,8 @@ class InterruptController:
     def _deliver(self, body, name: str, done: Optional[Event]) -> None:
         self.interrupts_raised += 1
         cpu = self.target_cpu()
-        cpu.stats.count("interrupts")
+        counters = cpu.stats.counters  # ProcessorStats.count, inline
+        counters["interrupts"] = counters.get("interrupts", 0) + 1
         if callable(body):
             body = body(cpu)
         cost = self._cost

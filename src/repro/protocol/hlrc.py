@@ -181,8 +181,12 @@ class HLRCProtocol:
         :meth:`read_fault`.
         """
         ctx = self.ctx
-        node_id = ctx.node_id_of_cpu(cpu)
-        home = ctx.directory.home(page, node_id)
+        # node_id_of_cpu and directory.home, inline for the common case
+        node = cpu.node
+        node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
+        home = ctx.directory._homes.get(page)
+        if home is None:
+            home = ctx.directory.home(page, node_id)
         if home == node_id:
             return True  # the home copy is always valid at the home
         mem = self.mem[node_id]
@@ -215,8 +219,9 @@ class HLRCProtocol:
         mem = self.mem[node_id]
         vlog = ctx.verify
         # --- page fault ---
-        self.counters.bump("page_faults")
-        cpu.stats.count("page_faults")
+        self.counters.page_faults += 1
+        cpu_counters = cpu.stats.counters  # ProcessorStats.count, inline
+        cpu_counters["page_faults"] = cpu_counters.get("page_faults", 0) + 1
         yield from cpu.busy(
             ctx.arch.tlb_kernel_cycles + ctx.arch.handler_base_cycles, "protocol"
         )
@@ -232,8 +237,8 @@ class HLRCProtocol:
             return
         ev = Event(ctx.sim, name=f"fetch.p{page}")
         mem.fetches[page] = ev
-        self.counters.bump("page_fetches")
-        cpu.stats.count("page_fetches")
+        self.counters.page_fetches += 1
+        cpu_counters["page_fetches"] = cpu_counters.get("page_fetches", 0) + 1
         if ctx.comm.is_rdma:
             # RDMA regime: the home's NI serves the page as a remote
             # read — no handler, no interrupt, no home host cycles.
@@ -273,8 +278,11 @@ class HLRCProtocol:
         ``False`` return leaves all protocol state untouched.
         """
         ctx = self.ctx
-        node_id = ctx.node_id_of_cpu(cpu)
-        home = ctx.directory.home(page, node_id)
+        node = cpu.node
+        node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
+        home = ctx.directory._homes.get(page)
+        if home is None:
+            home = ctx.directory.home(page, node_id)
         if home != node_id and page not in self.mem[node_id].twins:
             return False  # twin creation costs simulated time
         if not self.read_immediate(cpu, page):
@@ -495,16 +503,15 @@ class HLRCProtocol:
         return GRANT_BASE_BYTES + notices_wire_bytes(count)
 
     def _merged_snapshot(self) -> Tuple[int, ...]:
-        merged = VectorClock(self.ctx.n_procs)
-        for clock in self.vc:
-            merged.merge(clock)
-        return merged.snapshot()
+        # The join of every clock is its diagonal: component q advances
+        # only through q's own increment (every other clock learns it
+        # second-hand, from a snapshot of q's), so max_p vc[p][q] is
+        # vc[q][q].  O(P) instead of P clock merges.
+        return tuple([clock.v[p] for p, clock in enumerate(self.vc)])
 
     def _barrier_notice_bytes(self) -> int:
-        merged = VectorClock.from_snapshot(self._merged_snapshot())
-        counts = [
-            self.log.notice_count_between(self.vc[p], merged)
-            for p in range(self.ctx.n_procs)
-        ]
-        avg = sum(counts) // max(1, len(counts))
-        return notices_wire_bytes(avg)
+        # Average write notices a processor has not seen, against the
+        # merged clock; the diagonal covers every logged interval, so
+        # the log's own extent stands in for it (O(P) Python work).
+        unseen = self.log.unseen_notice_count(self.vc)
+        return notices_wire_bytes(unseen // max(1, len(self.vc)))

@@ -143,6 +143,18 @@ class IntervalLog:
                 count += prefix[hi] - prefix[lo]
         return count
 
+    def unseen_notice_count(self, clocks: Iterable[VectorClock]) -> int:
+        """Sum over ``clocks`` of the write notices each has not seen —
+        :meth:`notice_count_between` against a clock covering the whole
+        log, for every clock at once.  Each clock must lie within the log
+        (``clock[q] <= interval_count(q)``), as every protocol clock does."""
+        prefixes = self._count_prefix
+        total = sum([prefix[-1] for prefix in prefixes])
+        unseen = 0
+        for clock in clocks:
+            unseen += total - sum(map(list.__getitem__, prefixes, clock.v))
+        return unseen
+
 
 #: wire size of one write notice (page number + interval id)
 WRITE_NOTICE_BYTES = 8

@@ -144,3 +144,25 @@ def test_notices_between_monotone(intervals, cut):
     assert some <= all_pages
     rest = log.notices_between(mid, full)
     assert some | rest == all_pages
+
+
+@given(
+    intervals=st.lists(
+        st.tuples(st.integers(0, 2), st.lists(st.integers(0, 50), max_size=5)),
+        max_size=30,
+    ),
+    cuts=st.lists(st.lists(st.integers(0, 30), min_size=3, max_size=3), max_size=4),
+)
+def test_unseen_notice_count_sums_deltas_to_the_full_log(intervals, cuts):
+    """Property: one call equals each clock's notice count against the
+    clock that covers the whole log, summed."""
+    log = IntervalLog(3)
+    for proc, pages in intervals:
+        log.append(proc, pages)
+    full = VectorClock(3, [log.interval_count(p) for p in range(3)])
+    clocks = [
+        VectorClock(3, [min(c, log.interval_count(p)) for p, c in enumerate(cut)])
+        for cut in cuts
+    ]
+    expected = sum(log.notice_count_between(clock, full) for clock in clocks)
+    assert log.unseen_notice_count(clocks) == expected

@@ -9,14 +9,25 @@ cancellations (the flag-closure idiom the protocol code uses — the
 engine has no cancel API, a cancelled event dispatches as a no-op), and
 far-future events (delays far beyond the short-period mix, exercising
 the calendar's heap-degradation path).
+
+The hot sites that insert into the calendar themselves instead of
+calling ``Simulator.schedule`` (a handler's integer yield, the tail of
+the NI's path reservation, the fabric's delivery) are held to the order
+and the pending count ``schedule`` gives.
 """
 
 import heapq
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.arch import Processor
+from repro.arch.processor import HandlerRun
+from repro.net import Network
+from repro.net.message import Message, MessageKind
+from repro.sim import SimulationError, Simulator
+from tests.net.conftest import make_cluster
 
 
 class HeapReference:
@@ -141,3 +152,81 @@ def test_far_future_tie_with_short_period_storm():
         "burst-0", "burst-1", "burst-2", "burst-3", "burst-late",
         "far-a", "far-b",
     ]
+
+
+# ---------------------------------------------------------------------- #
+# inline calendar inserts
+# ---------------------------------------------------------------------- #
+def _queued(sim):
+    return sum(len(batch) for batch in sim._buckets.values()) // 2
+
+
+def _assert_inserts_like_schedule(sim, when, insert, log, occupied):
+    """``insert()`` must queue one event, which logs ``"site"``, at
+    ``when``: behind what ``when`` already holds (``occupied``) or in a
+    fresh bucket, ahead of what is scheduled there afterwards, between
+    its neighbouring cycles, and counted in ``pending`` as
+    ``Simulator.schedule`` counts it."""
+    sim.schedule(when - 1 - sim.now, log.append, "early")
+    if occupied:
+        sim.schedule(when - sim.now, log.append, "before")
+    sim.schedule(when + 1 - sim.now, log.append, "late")
+    assert sim.pending == _queued(sim)
+    insert()
+    assert sim.pending == _queued(sim)
+    sim.schedule(when - sim.now, log.append, "after")
+    sim.run()
+    assert log == ["early"] + ["before"] * occupied + ["site", "after", "late"]
+
+
+@pytest.mark.parametrize("occupied", [False, True])
+def test_handler_int_yield_inserts_like_schedule(occupied):
+    sim, log = Simulator(), []
+
+    def body():
+        yield 40
+        log.append("site")
+
+    HandlerRun(Processor(sim, 0), body(), "h").start()
+    # the grant slot at t=0 enters the handler, whose body yields 40
+    _assert_inserts_like_schedule(sim, 40, sim.step, log, occupied)
+
+
+def test_handler_negative_int_yield_raises():
+    sim = Simulator()
+
+    def body():
+        yield -1
+
+    HandlerRun(Processor(sim, 0), body(), "h").start()
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.run()
+
+
+def _data(size):
+    return Message(src_node=0, dst_node=1, kind=MessageKind.DATA, size_bytes=size)
+
+
+@pytest.mark.parametrize("occupied", [False, True])
+def test_tx_reserve_tail_inserts_like_schedule(occupied):
+    twin = Simulator()
+    make_cluster(twin).nodes[0].nic._tx_reserve(_data(4096))
+    when = twin.peek()
+    sim, log = Simulator(), []
+    nic = make_cluster(sim).nodes[0].nic
+    nic._tx_complete = lambda msg, packets, wire: log.append("site")
+    _assert_inserts_like_schedule(
+        sim, when, lambda: nic._tx_reserve(_data(4096)), log, occupied
+    )
+
+
+@pytest.mark.parametrize("latency, when", [(100, 100), (100.5, 101)])
+@pytest.mark.parametrize("occupied", [False, True])
+def test_network_deliver_inserts_like_schedule(latency, when, occupied):
+    sim, log = Simulator(), []
+    net = Network(sim, bytes_per_cycle=2.0, latency_cycles=latency)
+    net.attach(1, lambda msg, wire: log.append("site"))
+    _assert_inserts_like_schedule(
+        sim, when, lambda: net.deliver(_data(10), 74), log, occupied
+    )
+    assert (net.messages_carried, net.bytes_carried) == (1, 74)
