@@ -7,7 +7,13 @@ change alternately over ``PAIRS`` pairs, flipping which side goes first
 in each pair, so both sides see the same drift of a shared host.  It
 adds one ``pool_cold_s`` row: the wall time of a cold
 ``scripts/run_all_experiments.py --scale 0.05 --jobs 2``, which is the
-only measured run that goes through the process pool.
+only measured run that goes through the process pool.  For every cold
+workload (a name ending in ``_cold``) it adds one deterministic
+``python_calls`` row: ``cProfile``'s total call count over one cold
+``harness.run_pass`` of the workload's grid in each checkout, after a
+warm-up pass.  It shows an exact count beside the noisy medians; being
+a count, not a time, it has no bound, and only a probe that exits
+non-zero fails the gate.
 
 Each row shows both medians and their ``change/parent`` ratio, so a
 claimed gain can be read straight from the table (above 1 is more of
@@ -47,6 +53,21 @@ PAIRS = 3
 SECONDS = 5
 POOL_ARGS = ("--scale", "0.05", "--jobs", "2")
 REPORT = Path("perf_gate.json")
+
+#: run in a checkout with its ``src`` and ``perfbench`` on the path;
+#: prints one integer, the profiled pass's total call count
+CALLS_PROBE = """\
+import cProfile, pstats, sys, tempfile
+from pathlib import Path
+import harness, workloads
+grid = workloads.build_grid(sys.argv[1], workloads.DEFAULT_SEED)
+with tempfile.TemporaryDirectory() as tmp, harness.isolated_env(Path(tmp)):
+    harness.run_pass(grid)
+    harness.point_state_at(Path(tmp) / "profiled")
+    profile = cProfile.Profile()
+    profile.runcall(harness.run_pass, grid)
+print(pstats.Stats(profile).total_calls)
+"""
 
 
 def run_perfbench(checkout: Path, workload: str) -> dict:
@@ -95,6 +116,24 @@ def run_pool_cold(checkout: Path) -> dict:
     }
 
 
+def run_python_calls(checkout: Path, workload: str) -> dict:
+    """Python calls in one cold pass of ``workload`` (see ``CALLS_PROBE``)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(checkout / "src"), str(checkout / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CALLS_PROBE, workload],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.split()
+    ok = proc.returncode == 0 and bool(lines) and lines[-1].isdigit()
+    return {
+        "returncode": proc.returncode,
+        "correct": ok,
+        "metrics": {"python_calls": int(lines[-1])} if ok else {},
+        "stderr": "" if ok else proc.stderr[-2000:],
+    }
+
+
 def measure(
     parent: Path, change: Path, workloads: List[str]
 ) -> Dict[Tuple[str, str], List[dict]]:
@@ -115,6 +154,21 @@ def measure(
     return runs
 
 
+def measure_calls(
+    parent: Path, change: Path, workloads: List[str]
+) -> Dict[Tuple[str, str], List[dict]]:
+    """One deterministic call count per cold workload and side."""
+    calls: Dict[Tuple[str, str], List[dict]] = {}
+    for workload in workloads:
+        if workload.endswith("_cold"):
+            for side, checkout in (("parent", parent), ("change", change)):
+                run = run_python_calls(checkout, workload)
+                calls[workload, side] = [run]
+                print(f"{workload} python_calls {side}: exit {run['returncode']}",
+                      file=sys.stderr, flush=True)
+    return calls
+
+
 def worse_by(parent: float, change: float, better: str) -> float:
     """Relative change from parent to change, positive when worse."""
     worse = change - parent if better == "lower" else parent - change
@@ -124,25 +178,30 @@ def worse_by(parent: float, change: float, better: str) -> float:
 
 
 def compare(
-    runs: Dict[Tuple[str, str], List[dict]], declared: dict
+    runs: Dict[Tuple[str, str], List[dict]],
+    declared: dict,
+    calls: Dict[Tuple[str, str], List[dict]],
 ) -> Tuple[List[dict], List[str]]:
     """Table rows and failure messages for the measured runs."""
     failures = []
-    for (name, side), side_runs in runs.items():
-        for i, run in enumerate(side_runs, 1):
-            if run["returncode"] != 0 or (side == "change" and run["correct"] is not True):
-                failures.append(f"{name}: {side} run {i} exited {run['returncode']} "
-                                f"with correct={run['correct']}")
+    for label, measured in (("", runs), (" python_calls", calls)):
+        for (name, side), side_runs in measured.items():
+            for i, run in enumerate(side_runs, 1):
+                if run["returncode"] != 0 or (side == "change" and run["correct"] is not True):
+                    failures.append(f"{name}{label}: {side} run {i} exited "
+                                    f"{run['returncode']} with correct={run['correct']}")
     metrics = declared["end_to_end"]
     pool = {"name": "pool_cold_s", "better": "lower",
             "bound": next(m["bound"] for m in metrics if m["name"] == "points_per_s")}
-    checks = [(w["name"], m) for w in declared["workloads"] for m in metrics]
-    checks.append(("pool_cold", pool))
+    checks = [(w["name"], m, runs) for w in declared["workloads"] for m in metrics]
+    checks.append(("pool_cold", pool, runs))
+    count = {"name": "python_calls", "better": "lower", "bound": None}
+    checks += [(w, count, calls) for w, side in calls if side == "change"]
     rows = []
-    for workload, metric in checks:
+    for workload, metric, measured in checks:
         name = metric["name"]
-        parent = [r["metrics"][name] for r in runs[workload, "parent"] if name in r["metrics"]]
-        change = [r["metrics"][name] for r in runs[workload, "change"] if name in r["metrics"]]
+        parent = [r["metrics"][name] for r in measured[workload, "parent"] if name in r["metrics"]]
+        change = [r["metrics"][name] for r in measured[workload, "change"] if name in r["metrics"]]
         row = {"workload": workload, "metric": name, "better": metric["better"],
                "bound": metric["bound"], "parent": None, "change": None,
                "ratio": None, "worse_by": None, "verdict": "ok"}
@@ -159,7 +218,7 @@ def compare(
             if row["parent"]:
                 row["ratio"] = row["change"] / row["parent"]
             row["worse_by"] = worse_by(row["parent"], row["change"], metric["better"])
-            if row["worse_by"] > metric["bound"]:
+            if metric["bound"] is not None and row["worse_by"] > metric["bound"]:
                 row["verdict"] = "FAIL"
                 failures.append(f"{workload}/{name}: {row['worse_by']:+.1%} worse "
                                 f"than the parent (bound {metric['bound']:.0%})")
@@ -169,6 +228,8 @@ def compare(
 
 def print_table(rows: List[dict]) -> None:
     def fmt(value, spec: str = ".4g") -> str:
+        if isinstance(value, int) and spec == ".4g":
+            spec = ",d"  # a call count, in full
         return "-" if value is None else format(value, spec)
 
     header = ("workload", "metric", "better", "bound", "parent", "change",
@@ -192,8 +253,10 @@ def main(argv=None) -> int:
     if not (parent / "perfbench" / "run.py").is_file():
         parser.error(f"{parent} has no perfbench/run.py")
     declared = json.loads((REPO / "BENCHMARK.json").read_text())
-    runs = measure(parent, REPO, [w["name"] for w in declared["workloads"]])
-    rows, failures = compare(runs, declared)
+    workloads = [w["name"] for w in declared["workloads"]]
+    runs = measure(parent, REPO, workloads)
+    calls = measure_calls(parent, REPO, workloads)
+    rows, failures = compare(runs, declared, calls)
     print_table(rows)
     for failure in failures:
         print(f"FAIL {failure}")
@@ -201,6 +264,7 @@ def main(argv=None) -> int:
         "parent": str(parent), "change": str(REPO), "pairs": PAIRS,
         "seconds": SECONDS, "passed": not failures, "failures": failures,
         "rows": rows, "runs": {f"{w}/{side}": r for (w, side), r in runs.items()},
+        "python_calls": {f"{w}/{side}": r for (w, side), (r,) in calls.items()},
     }, indent=1) + "\n")
     print(f"perf gate {'FAILED' if failures else 'passed'}: "
           f"{len(rows)} rows, {PAIRS} pairs per workload -> {REPORT}")

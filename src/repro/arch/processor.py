@@ -221,24 +221,21 @@ class Processor:
         if base <= 0:
             return
         rate = (bus_bytes / base) if bus_bytes else 0.0
-        stall_eff = stall
-        if self.bus is not None and base > 0:
-            if rate:
-                self.bus.register_background(rate)
-            try:
-                if stall:
-                    stall_eff = int(stall * self.bus.stall_multiplier(rate, base))
-                self.stats.add("compute", work)
-                self.stats.add("local_stall", stall_eff)
-                yield from self._occupied(work + stall_eff)
-            finally:
-                if rate:
-                    self.bus.unregister_background(rate)
-        else:
-            self.stats.add("compute", work)
-            if stall:
-                self.stats.add("local_stall", stall)
+        bus = self.bus
+        if bus is not None and rate:
+            bus.register_background(rate)
+        try:
+            if bus is not None and stall:
+                stall = int(stall * bus.stall_multiplier(rate, base))
+            if work < 0 or stall < 0:
+                raise ValueError(f"negative time in block: compute {work}, local_stall {stall}")
+            time = self.stats.time  # ProcessorStats.add, inline
+            time["compute"] += work
+            time["local_stall"] += stall
             yield from self._occupied(work + stall)
+        finally:
+            if bus is not None and rate:
+                bus.unregister_background(rate)
 
     # ------------------------------------------------------------------ #
     # blocked-time accounting
@@ -385,7 +382,6 @@ class HandlerRun:
             else:
                 bucket.append(self._wake)
                 bucket.append(_RESUME_ARGS)
-            sim._pending += 1
         elif isinstance(target, Waitable):
             target._wait(self)  # type: ignore[arg-type]
         else:

@@ -106,7 +106,6 @@ class Network:
         else:
             bucket.append(receiver)
             bucket.append((msg, wire_bytes))
-        sim._pending += 1
 
     def transit_cycles(self, wire_bytes: int) -> int:
         """Serialization + constant latency for a message of this size."""

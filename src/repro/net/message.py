@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,51 +40,67 @@ class MessageKind(enum.Enum):
     READ = "read"
 
 
-@dataclass
 class Message:
     """One message travelling between nodes.
 
     ``size_bytes`` is the payload; the wire adds a per-packet header.
     ``tag`` selects the handler for REQUESTs or the rendezvous for SYNCs;
-    ``reply_to`` carries the event a REPLY must trigger.
+    ``reply_to`` carries the event a REPLY must trigger.  The other
+    fields:
+
+    * ``on_deposit`` — optional event triggered when the message has been
+      deposited into destination host memory (set by the sending NI);
+    * ``min_packets`` — minimum packet count regardless of size: AURC's
+      automatic-update hardware emits one packet per spatially/temporally
+      disjoint write run, so fine-grain updates cannot coalesce below it;
+    * ``rx_nic`` — receive-side NI chosen by the sender's pipelined
+      reservation (multi-NI nodes; see repro.net.nic.NICGroup);
+    * ``seq`` — per-source sequence number assigned by the messaging
+      layer when reliable delivery is on; retransmissions keep the
+      original seq so the receiver can suppress duplicates.  ``None`` =
+      unsequenced;
+    * ``read_bytes`` — for READ: how many payload bytes the target NI
+      streams back.
+
+    A plain ``__slots__`` class: one is built per message sent, so its
+    construction is on the per-message path.
     """
 
-    src_node: int
-    dst_node: int
-    kind: MessageKind
-    size_bytes: int
-    tag: str = ""
-    payload: Any = None
-    reply_to: Optional["Event"] = None
-    #: optional event triggered when the message has been deposited into
-    #: destination host memory (set by the sending NI)
-    on_deposit: Optional["Event"] = None
-    #: minimum packet count regardless of size — AURC's automatic-update
-    #: hardware emits one packet per spatially/temporally disjoint write
-    #: run, so fine-grain updates cannot coalesce below this
-    min_packets: int = 1
-    #: receive-side NI chosen by the sender's pipelined reservation
-    #: (multi-NI nodes; see repro.net.nic.NICGroup)
-    rx_nic: Any = None
-    #: per-source sequence number assigned by the messaging layer when
-    #: reliable delivery is on; retransmissions keep the original seq so
-    #: the receiver can suppress duplicates.  ``None`` = unsequenced.
-    seq: Optional[int] = None
-    #: for READ: how many payload bytes the target NI streams back
-    read_bytes: int = 0
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    #: memoized (mtu, packets) — the MTU is fixed for a run and the count
-    #: is recomputed on every charge/transmit/retransmit of the message
-    _packets: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "src_node", "dst_node", "kind", "size_bytes", "tag", "payload",
+        "reply_to", "on_deposit", "min_packets", "rx_nic", "seq",
+        "read_bytes", "msg_id", "_packets",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
+    def __init__(
+        self, src_node: int, dst_node: int, kind: MessageKind, size_bytes: int,
+        tag: str = "", payload: Any = None, reply_to: Optional["Event"] = None,
+        on_deposit: Optional["Event"] = None, min_packets: int = 1, rx_nic: Any = None,
+        seq: Optional[int] = None, read_bytes: int = 0, msg_id: Optional[int] = None,
+    ) -> None:
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.kind = kind
+        self.size_bytes = size_bytes
+        self.tag = tag
+        self.payload = payload
+        self.reply_to = reply_to
+        self.on_deposit = on_deposit
+        self.min_packets = min_packets
+        self.rx_nic = rx_nic
+        self.seq = seq
+        self.read_bytes = read_bytes
+        self.msg_id = next(_msg_ids) if msg_id is None else msg_id
+        #: memoized (mtu, packets) — the MTU is fixed for a run and the
+        #: count is recomputed on every charge/transmit/retransmit
+        self._packets: Optional[tuple] = None
+        if size_bytes < 0:
             raise ValueError("message size must be non-negative")
-        if self.src_node == self.dst_node:
+        if src_node == dst_node:
             raise ValueError("intra-node traffic never reaches the NI")
-        if self.kind is MessageKind.REPLY and self.reply_to is None:
+        if kind is MessageKind.REPLY and reply_to is None:
             raise ValueError("REPLY without reply_to event")
-        if self.kind is MessageKind.READ and self.reply_to is None:
+        if kind is MessageKind.READ and reply_to is None:
             raise ValueError("READ without reply_to event")
 
     def packet_count(self, mtu: int) -> int:

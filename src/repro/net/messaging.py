@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Iterable, Optional
 
 from repro.net.faults import FaultParams, RetryExhaustedError
 from repro.net.message import Message, MessageKind
@@ -187,19 +187,24 @@ class MessagingLayer:
         cpu: "Processor",
         msg: Message,
         in_handler: bool,
-    ) -> Generator:
-        """Pay host overhead and count the message on the sending CPU."""
-        wire = msg.wire_bytes(self.arch.packet_mtu, self.arch.packet_header_bytes)
+    ) -> Iterable:
+        """Count the message on the sending CPU and return its host
+        overhead for the caller to ``yield from``.
+
+        A plain function, not a generator: the caller's ``yield from``
+        drives what it returns directly, one frame fewer per send.
+        """
+        arch = self.arch  # Message.wire_bytes, inline
+        wire = msg.size_bytes + msg.packet_count(arch.packet_mtu) * arch.packet_header_bytes
         counters = cpu.stats.counters  # ProcessorStats.count, inline
         counters["messages_sent"] = counters.get("messages_sent", 0) + 1
         counters["bytes_sent"] = counters.get("bytes_sent", 0) + wire
         overhead = self._send_overhead
-        if overhead:
-            if in_handler:
-                # Handler bracket charges this time to 'handler'.
-                yield overhead
-            else:
-                yield from cpu.busy(overhead, "overhead")
+        if not overhead:
+            return ()
+        if in_handler:
+            return (overhead,)  # the handler bracket charges it to 'handler'
+        return cpu.busy(overhead, "overhead")
 
     def _nic(self, node_id: int) -> "NetworkInterface":
         try:

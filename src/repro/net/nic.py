@@ -284,7 +284,6 @@ class NetworkInterface:
         else:
             bucket.append(self._tx_complete)
             bucket.append((msg, packets, wire))
-        sim._pending += 1
 
     def _tx_complete(self, msg: Message, packets: int, wire: int) -> None:
         self.messages_sent += 1

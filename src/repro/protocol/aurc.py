@@ -47,8 +47,11 @@ class AURCProtocol(HLRCProtocol):
     def write_immediate(self, cpu: "Processor", page: int, words: int = 1, runs: int = 1) -> bool:
         """AURC home-page writes raise no update traffic and cost nothing."""
         ctx = self.ctx
-        node_id = ctx.node_id_of_cpu(cpu)
-        home = ctx.directory.home(page, node_id)
+        node = cpu.node
+        node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
+        home = ctx.directory._homes.get(page)
+        if home is None:
+            home = ctx.directory.home(page, node_id)
         if home != node_id:
             return False  # remote home: the automatic update must ship
         pw = page_words(ctx.arch, ctx.comm.page_size)
@@ -67,8 +70,9 @@ class AURCProtocol(HLRCProtocol):
         ctx = self.ctx
         if not self.read_immediate(cpu, page):
             yield from self.read_fault(cpu, page)  # write fault still fetches
-        node_id = ctx.node_id_of_cpu(cpu)
-        home = ctx.directory.home(page, node_id)
+        node = cpu.node
+        node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
+        home = ctx.directory._homes[page]  # read_immediate assigned it
         words = min(words, page_words(ctx.arch, ctx.comm.page_size))
         d = self.dirty[cpu.global_id]
         d[page] = min(page_words(ctx.arch, ctx.comm.page_size), d.get(page, 0) + words)

@@ -214,8 +214,11 @@ class HLRCProtocol:
         could not complete: page fault, then a fetch (or a wait on a
         node-mate's fetch in flight)."""
         ctx = self.ctx
-        node_id = ctx.node_id_of_cpu(cpu)
-        home = ctx.directory.home(page, node_id)
+        node = cpu.node
+        node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
+        home = ctx.directory._homes.get(page)
+        if home is None:
+            home = ctx.directory.home(page, node_id)
         mem = self.mem[node_id]
         vlog = ctx.verify
         # --- page fault ---
@@ -304,8 +307,9 @@ class HLRCProtocol:
         ctx = self.ctx
         if not self.read_immediate(cpu, page):
             yield from self.read_fault(cpu, page)  # write faults fetch too
-        node_id = ctx.node_id_of_cpu(cpu)
-        home = ctx.directory.home(page, node_id)
+        node = cpu.node
+        node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
+        home = ctx.directory._homes[page]  # read_immediate assigned it
         words = min(words, page_words(ctx.arch, ctx.comm.page_size))
         if home != node_id:
             mem = self.mem[node_id]

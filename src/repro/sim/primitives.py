@@ -105,7 +105,6 @@ class Event(Waitable):
             for proc in waiters:
                 bucket.append(proc._wake)
                 bucket.append(args)
-            sim._pending += len(waiters)
         return self
 
     def fail(self, exc: BaseException) -> "Event":

@@ -61,7 +61,6 @@ class Process(Waitable):
         "_done",
         "_finished",
         "_result",
-        "_current",
         "daemon",
         "_wake",
     )
@@ -80,7 +79,6 @@ class Process(Waitable):
         self._done: Optional[Event] = None
         self._finished = False
         self._result: Any = None
-        self._current: Optional[Waitable] = None
         #: ``_step`` bound once: every wakeup appends this to the calendar
         #: instead of building a fresh bound method per suspension
         self._wake = step = self._step
@@ -96,7 +94,6 @@ class Process(Waitable):
         else:
             bucket.append(step)
             bucket.append(_RESUME_ARGS)
-        sim._pending += 1
 
     # ------------------------------------------------------------------ #
     @property
@@ -126,7 +123,6 @@ class Process(Waitable):
             else:
                 target = self.gen.send(value)
         except StopIteration as stop:
-            self._current = None
             # drop the self-reference so the finished process is freed
             # by reference counting, not left for the cycle collector
             self._wake = None
@@ -144,55 +140,38 @@ class Process(Waitable):
             raise ProcessCrash(self, err) from err
 
         cls = target.__class__
-        if cls is int:
-            # A bare integer yield is a timeout: the hottest suspension
-            # sites yield the delay itself, skipping the Timeout
-            # allocation and its attribute loads entirely.  The calendar
-            # insert is inlined (same bucket-append semantics as
-            # Simulator.schedule) to drop the call frame and the *args
-            # pack on the single hottest path in the whole simulator.
-            self._current = None
-            sim = self.sim
-            if target < 0:
-                self.sim.schedule(target, self._wake, None)  # raises
-            when = sim.now + target
-            buckets = sim._buckets
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = [self._wake, _RESUME_ARGS]
-                heappush(sim._times, when)
-            else:
-                bucket.append(self._wake)
-                bucket.append(_RESUME_ARGS)
-            sim._pending += 1
-            return
-        if cls is Timeout:
-            # The hottest object yield; inlining Timeout._wait skips an
-            # isinstance walk and a method dispatch per suspension.
-            self._current = target
-            delay = target.delay
-            if delay < 0:
-                self.sim.schedule(delay, self._wake, None)  # raises
-            if type(delay) is not int:
-                delay = int(ceil(delay))
-            sim = self.sim
-            when = sim.now + delay
-            buckets = sim._buckets
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = [self._wake, _RESUME_ARGS]
-                heappush(sim._times, when)
-            else:
-                bucket.append(self._wake)
-                bucket.append(_RESUME_ARGS)
-            sim._pending += 1
-            return
-        if not isinstance(target, Waitable):
-            raise ProcessCrash(
-                self, TypeError(f"process yielded non-waitable {target!r}")
-            )
-        self._current = target
-        target._wait(self)
+        if cls is not int:
+            if cls is not Timeout:
+                if not isinstance(target, Waitable):
+                    raise ProcessCrash(
+                        self, TypeError(f"process yielded non-waitable {target!r}")
+                    )
+                target._wait(self)
+                return
+            # The hottest object yield, unwrapped to its delay (rounded
+            # up as Simulator.schedule rounds; a negative one raises
+            # below): skips an isinstance walk and Timeout._wait.
+            target = target.delay
+            if type(target) is not int and target >= 0:
+                target = int(ceil(target))
+        # A bare integer yield is a timeout: the hottest suspension sites
+        # yield the delay itself, skipping the Timeout allocation and its
+        # attribute loads entirely.  The calendar insert is inlined (same
+        # bucket-append semantics as Simulator.schedule) to drop the call
+        # frame and the *args pack on the single hottest path in the
+        # whole simulator.
+        sim = self.sim
+        if target < 0:
+            sim.schedule(target, self._wake, None)  # raises
+        when = sim.now + target
+        buckets = sim._buckets
+        bucket = buckets.get(when)
+        if bucket is None:
+            buckets[when] = [self._wake, _RESUME_ARGS]
+            heappush(sim._times, when)
+        else:
+            bucket.append(self._wake)
+            bucket.append(_RESUME_ARGS)
 
     # Processes are themselves waitable: ``yield other_process`` joins it.
     def _wait(self, process: "Process") -> None:

@@ -109,6 +109,20 @@ def test_background_registration_balanced_after_block():
     assert bus.bandwidth() == pytest.approx(ArchParams().membus_bytes_per_cycle)
 
 
+@pytest.mark.parametrize("with_bus", [False, True])
+@pytest.mark.parametrize("work, stall", [(-5, 10), (10, -5)])
+def test_run_block_rejects_negative_time(with_bus, work, stall):
+    sim = Simulator()
+    bus = MemoryBus(sim, ArchParams()) if with_bus else None
+    cpu = Processor(sim, 0, bus=bus)
+    with pytest.raises(ValueError, match="negative time"):
+        next(cpu.run_block(work, stall, bus_bytes=800))
+    assert cpu.stats.time["compute"] == cpu.stats.time["local_stall"] == 0
+    if bus is not None:
+        # the block's background load was released
+        assert bus.bandwidth() == pytest.approx(ArchParams().membus_bytes_per_cycle)
+
+
 def test_finish_time_initially_none():
     sim = Simulator()
     cpu = Processor(sim, 0)

@@ -26,6 +26,30 @@ print(json.dumps({"diagnostics": {"stub": True}}))
 print(%r)
 """
 
+# the two modules the python_calls probe imports: each cold pass makes
+# CALLS calls to one function, so a checkout's count is CALLS plus the
+# probe's own constant overhead
+HARNESS_PY = """\
+from contextlib import contextmanager
+CALLS = %d
+def _tick():
+    pass
+def run_pass(grid):
+    for _ in range(CALLS):
+        _tick()
+@contextmanager
+def isolated_env(workdir):
+    yield
+def point_state_at(path):
+    pass
+"""
+
+WORKLOADS_PY = """\
+DEFAULT_SEED = 0
+def build_grid(workload, seed):
+    return []
+"""
+
 # long enough that interpreter start-up jitter stays well inside the bound
 RUN_ALL_PY = """\
 import time
@@ -42,9 +66,13 @@ def gate():
     return module
 
 
-def _checkout(root, correct=True, **overrides):
-    """A fake checkout whose perfbench prints fixed metrics."""
+def _checkout(root, correct=True, calls=1000, **overrides):
+    """A fake checkout whose perfbench prints fixed metrics and whose
+    cold pass makes ``calls`` calls (``None``: no probe modules)."""
     (root / "perfbench").mkdir(parents=True)
+    if calls is not None:
+        (root / "perfbench" / "harness.py").write_text(HARNESS_PY % calls)
+        (root / "perfbench" / "workloads.py").write_text(WORKLOADS_PY)
     (root / "scripts").mkdir()
     metrics = {name: {"value": value, "unit": "-"}
                for name, value in dict(BASE, **overrides).items()}
@@ -66,6 +94,13 @@ def _run(gate, tmp_path, monkeypatch, **change):
 
 def _verdicts(report):
     return {(r["workload"], r["metric"]): r["verdict"] for r in report["rows"]}
+
+
+def _calls_rows(report):
+    return {r["workload"]: r for r in report["rows"] if r["metric"] == "python_calls"}
+
+
+COLD = [w["name"] for w in DECLARED["workloads"] if w["name"].endswith("_cold")]
 
 
 def test_equal_sides_pass(gate, tmp_path, monkeypatch, capsys):
@@ -129,3 +164,34 @@ def test_every_declared_metric_is_reported(gate, tmp_path, monkeypatch, capsys):
     for metric in DECLARED["end_to_end"]:
         assert metric["name"] in reported
         assert metric["name"] in table
+
+
+def test_python_calls_row_per_cold_workload(gate, tmp_path, monkeypatch, capsys):
+    rc, report = _run(gate, tmp_path, monkeypatch, calls=600)
+    assert rc == 0, report["failures"]
+    rows = _calls_rows(report)
+    assert sorted(rows) == sorted(COLD) and COLD
+    overhead = rows[COLD[0]]["parent"] - 1000  # the probe's own calls
+    for row in rows.values():
+        assert isinstance(row["parent"], int) and isinstance(row["change"], int)
+        assert (row["parent"], row["change"]) == (1000 + overhead, 600 + overhead)
+        assert row["ratio"] == pytest.approx((600 + overhead) / (1000 + overhead))
+        assert (row["better"], row["bound"], row["verdict"]) == ("lower", None, "ok")
+    assert sorted(report["python_calls"]) == sorted(
+        f"{w}/{side}" for w in COLD for side in ("parent", "change"))
+    # printed in full, not rounded to four digits
+    table = capsys.readouterr().out
+    assert f"{1000 + overhead:,d}" in table and f"{600 + overhead:,d}" in table
+
+
+def test_more_python_calls_do_not_fail_the_gate(gate, tmp_path, monkeypatch):
+    rc, report = _run(gate, tmp_path, monkeypatch, calls=5000)
+    assert rc == 0, report["failures"]
+    assert all(r["worse_by"] > 1 for r in _calls_rows(report).values())
+
+
+def test_python_calls_probe_failure_fails(gate, tmp_path, monkeypatch):
+    rc, report = _run(gate, tmp_path, monkeypatch, calls=None)
+    assert rc == 1
+    assert {r["verdict"] for r in _calls_rows(report).values()} == {"FAIL"}
+    assert any("python_calls: change run 1 exited 1" in f for f in report["failures"])

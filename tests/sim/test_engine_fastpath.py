@@ -3,6 +3,8 @@ the general loop (same order, same clock, same counts, same rounding)."""
 
 import math
 
+import pytest
+
 from repro.sim import Simulator
 
 
@@ -58,17 +60,88 @@ def test_int_delay_fast_path_has_no_float_roundtrip():
     assert seen == [big]
 
 
+# both dispatch loops: the fused fast path, and the general loop an event
+# budget it never reaches forces
+RUN_KWARGS = [{}, {"max_events": 1_000_000}]
+
+
 def test_dispatched_counter_flushed_on_callback_error():
+    _resume_after_callback_error({})
+
+
+def test_general_loop_resumes_after_callback_error():
+    _resume_after_callback_error(RUN_KWARGS[1])
+
+
+def _resume_after_callback_error(run_kwargs):
+    """A callback that schedules into its own cycle and then raises: the
+    failing event is consumed and counted once, and the next run
+    dispatches the rest of its batch, appends included, once each and
+    in schedule order."""
     sim = Simulator()
-    sim.schedule(1, lambda: None)
+    log = []
+    sim.schedule(1, log.append, "a")
+
+    def boom():
+        log.append("boom")
+        sim.schedule(0, log.append, "append-0")
+        sim.schedule_now(log.append, "append-1")
+        raise RuntimeError("boom")
+
+    sim.schedule(2, boom)
+    sim.schedule(2, log.append, "b")
+    sim.schedule(3, log.append, "c")
+    assert sim.pending == 4
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(**run_kwargs)
+    assert sim.dispatched == 2
+    assert sim.now == 2
+    assert log == ["a", "boom"]
+    assert sim.pending == 4  # b, append-0, append-1, c
+    assert sim.peek() == 2
+
+    assert sim.run(**run_kwargs) == 4
+    assert log == ["a", "boom", "b", "append-0", "append-1", "c"]
+    assert sim.dispatched == 6
+    assert sim.pending == 0
+    assert sim.peek() is None
+
+
+@pytest.mark.parametrize("run_kwargs", RUN_KWARGS, ids=["fast", "general"])
+def test_raise_on_last_event_of_batch_leaves_no_bucket(run_kwargs):
+    sim = Simulator()
+    log = []
+    sim.schedule(1, log.append, "a")
 
     def boom():
         raise RuntimeError("boom")
 
-    sim.schedule(2, boom)
-    try:
-        sim.run()
-    except RuntimeError:
-        pass
-    assert sim.dispatched == 2
-    assert sim.now == 2
+    sim.schedule(1, boom)
+    sim.schedule(4, log.append, "b")
+    with pytest.raises(RuntimeError):
+        sim.run(**run_kwargs)
+    assert (sim.dispatched, sim.pending, sim.peek()) == (2, 1, 4)
+    sim.run(**run_kwargs)
+    assert log == ["a", "b"]
+    assert (sim.dispatched, sim.pending, sim.peek()) == (3, 0, None)
+
+
+def test_pending_counts_queued_events_through_steps():
+    """Same-cycle inserts join the batch being stepped through, behind
+    what it already holds; ``pending`` tracks the queue at every step."""
+    sim = Simulator()
+    log = []
+
+    def fan(tag):
+        log.append(tag)
+        sim.schedule(0, log.append, tag + "'")
+
+    sim.schedule(0, fan, "a")
+    sim.schedule(0, fan, "b")
+    sim.schedule(5, log.append, "c")
+    pending = [sim.pending]
+    while sim.step():
+        pending.append(sim.pending)
+    assert log == ["a", "b", "a'", "b'", "c"]
+    assert pending == [3, 3, 3, 2, 1, 0]
+    assert sim.dispatched == 5
