@@ -29,7 +29,6 @@ import time
 
 from repro.cli import _jobs_type, _scale_type
 from repro.core.executor import resolve_jobs, run_points
-from repro.core.store import ingest_artifact_quietly
 from repro.experiments import EXPERIMENTS
 
 
@@ -57,13 +56,8 @@ def run_all(scale: float, out_dir: pathlib.Path, jobs=None, quiet: bool = False)
         (out_dir / f"{name}.json").write_text(
             json.dumps(out.data, indent=2, default=str) + "\n"
         )
-        # The files are an export format; the columnar store is the
-        # durable history (`python -m repro report <name>` re-renders
-        # this exact table without re-simulating).
-        ingest_artifact_quietly(
-            name, text, data=out.data, scale=scale, title=out.title,
-            source="run_all",
-        )
+        # These files are the record of each table; the result store
+        # keeps only the runs behind it (run_points appends them).
         texts.append(text)
     (out_dir / "ALL.txt").write_text("\n\n\n".join(texts) + "\n")
 

@@ -18,18 +18,14 @@ Commands
 ``cache {stats,verify,clear}``
     Inspect, integrity-audit, or purge the persistent run cache
     (``results/.runcache/``).
-``report [TARGET]``
-    Query the columnar result store (:mod:`repro.core.store`,
-    ``results/store.sqlite``): render a stored figure/table without
-    re-simulating (``report figure01``), migrate committed outputs and
-    cache records in (``report ingest``), or export tables
-    (``report export``).
 
 ``sweep`` and ``experiment`` accept ``--jobs N`` to fan independent
 simulation points across a process pool (0 = all cores).  Every finished
 point lands in the run cache, so SIGINT/SIGTERM stop a command with exit
 code 130 and a one-line hint to rerun it; the rerun serves the finished
-points from the cache and prints bit-identical results.
+points from the cache and prints bit-identical results.  Each finished
+point is also appended to the ``runs`` table of ``results/store.sqlite``
+(:mod:`repro.core.store`; ``REPRO_RESULT_STORE=0`` turns that off).
 """
 
 from __future__ import annotations
@@ -390,7 +386,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.core.store import ingest_artifact_quietly
     from repro.experiments import EXPERIMENTS, run
 
     if args.id not in EXPERIMENTS:
@@ -398,14 +393,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     out = run(args.id, scale=args.scale, apps=args.apps or None, jobs=args.jobs)
     print(out.table_str())
-    ingest_artifact_quietly(
-        args.id,
-        out.table_str(),
-        data=out.data,
-        scale=args.scale,
-        title=out.title,
-        source="cli",
-    )
     return 0
 
 
@@ -451,178 +438,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     clear_caches()
     print(f"removed {removed} cached run(s) from {cache.root}")
     return 0
-
-
-#: report actions; any other target is an experiment id to render
-_REPORT_ACTIONS = ("list", "stats", "ingest", "speedups", "export")
-
-
-def _report_render(store, args: argparse.Namespace) -> int:
-    """Serve one experiment's table from store rows — zero simulation."""
-    from repro.experiments import EXPERIMENTS
-
-    if args.target not in EXPERIMENTS:
-        print(
-            f"error: unknown report target {args.target!r}; actions: "
-            f"{', '.join(_REPORT_ACTIONS)}; experiments: {', '.join(EXPERIMENTS)}",
-            file=sys.stderr,
-        )
-        return 2
-    artifact = store.artifact(args.target, scale=args.scale)
-    if artifact is None:
-        at = f" at scale {args.scale:g}" if args.scale is not None else ""
-        print(
-            f"error: no stored render of {args.target!r}{at}; generate one "
-            f"with `repro experiment {args.target}` or migrate committed "
-            "outputs with `repro report ingest --results results --scale 1`",
-            file=sys.stderr,
-        )
-        return 1
-    print(artifact["text"])
-    return 0
-
-
-def _report_ingest(store, args: argparse.Namespace) -> int:
-    """Migrate committed results/*.txt|json pairs and/or the run cache."""
-    if not args.results and not args.runcache:
-        print(
-            "error: nothing to ingest — give --results DIR and/or --runcache",
-            file=sys.stderr,
-        )
-        return 2
-    ingested = 0
-    if args.results:
-        import json as _json
-        import pathlib
-
-        from repro.experiments import EXPERIMENTS
-
-        results_dir = pathlib.Path(args.results)
-        if not results_dir.is_dir():
-            print(f"error: no such directory {results_dir}", file=sys.stderr)
-            return 2
-        for txt_path in sorted(results_dir.glob("*.txt")):
-            exp_id = txt_path.stem
-            if exp_id not in EXPERIMENTS:
-                continue  # ALL.txt, stray notes...
-            data = None
-            json_path = txt_path.with_suffix(".json")
-            if json_path.is_file():
-                try:
-                    data = _json.loads(json_path.read_text(encoding="utf-8"))
-                except ValueError:
-                    data = None
-            store.ingest_artifact(
-                exp_id,
-                txt_path.read_text(encoding="utf-8").rstrip("\n"),
-                data=data,
-                scale=args.scale,
-                source=f"migrated:{results_dir}",
-            )
-            ingested += 1
-            print(f"  artifact {exp_id} <- {txt_path}")
-    migrated_runs = 0
-    if args.runcache:
-        from repro.core import runcache
-
-        cache = runcache.disk_cache()
-        if cache is None:
-            print("error: disk cache disabled (REPRO_DISK_CACHE=0)", file=sys.stderr)
-            return 2
-        entries = []
-        for path in cache.entries():
-            status, result = cache._classify(path)
-            if status == "ok" and result is not None:
-                entries.append((path.stem, result, args.scale))
-        migrated_runs = store.ingest_results(entries, sweep="runcache-migration")
-        print(
-            f"  run cache: {migrated_runs} new run(s) from "
-            f"{len(entries)} readable record(s) in {cache.root}"
-        )
-    print(
-        f"ingested {ingested} artifact(s), {migrated_runs} run(s) "
-        f"-> {store.path}"
-    )
-    return 0
-
-
-def _report_speedups(store, args: argparse.Namespace) -> int:
-    rows_data = store.speedups(
-        app=args.app, protocol=args.protocol, scale=args.scale
-    )
-    if not rows_data:
-        print("no matching runs in the store")
-        return 0
-    rows = [
-        [r["app"], r["protocol"], "-" if r["scale"] is None else r["scale"],
-         round(r["speedup"], 2), round(r["ideal_speedup"], 2),
-         r["fidelity"], r["key"][:12]]
-        for r in rows_data
-    ]
-    print(format_table(
-        ["app", "protocol", "scale", "speedup", "ideal", "fidelity", "key"],
-        rows, title=f"Stored speedups ({len(rows)} run(s))"))
-    return 0
-
-
-def _report_export(store, args: argparse.Namespace) -> int:
-    if not args.out:
-        print("error: export needs --out FILE (.csv, .jsonl or .parquet)",
-              file=sys.stderr)
-        return 2
-    if args.out.endswith(".parquet"):
-        n = store.export_parquet(args.out, table=args.table)
-    elif args.out.endswith(".csv"):
-        n = store.export_csv(args.out, table=args.table)
-    else:
-        n = store.export_jsonl(args.out, table=args.table)
-    print(f"exported {n} row(s) from {args.table} to {args.out}")
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """Query the columnar result store (figures, speedups, exports)."""
-    from repro.core.store import result_store
-
-    store = result_store()
-    if store is None:
-        print("error: result store disabled (REPRO_RESULT_STORE=0)",
-              file=sys.stderr)
-        return 2
-    target = args.target or "list"
-    try:
-        if target == "list":
-            artifacts = store.artifact_ids()
-            if artifacts:
-                rows = [
-                    [exp_id, "-" if scale is None else scale, n]
-                    for exp_id, scale, n in artifacts
-                ]
-                print(format_table(["experiment", "scale", "renders"], rows,
-                                   title="Stored experiment artifacts"))
-            else:
-                print("no stored experiment artifacts")
-            st = store.stats()
-            print(
-                f"\n{st['runs']} run(s) in {st['path']} (model versions: "
-                f"{', '.join(map(str, st['model_versions'])) or 'none'})"
-            )
-            print("\nrender one with: python -m repro report <experiment>")
-            return 0
-        if target == "stats":
-            for k, v in store.stats().items():
-                print(f"{k:>15}: {v}")
-            return 0
-        if target == "ingest":
-            return _report_ingest(store, args)
-        if target == "speedups":
-            return _report_speedups(store, args)
-        if target == "export":
-            return _report_export(store, args)
-        return _report_render(store, args)
-    except RuntimeError as exc:  # SchemaMismatchError, missing pyarrow...
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -707,44 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument("action", choices=("stats", "verify", "clear"))
 
-    p_rep = sub.add_parser(
-        "report",
-        help="query the columnar result store: render stored figures, "
-        "ingest committed outputs, exports (no simulation)",
-    )
-    p_rep.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="experiment id to render from store rows (e.g. figure01), or "
-        f"an action: {', '.join(_REPORT_ACTIONS)} (default: list)",
-    )
-    p_rep.add_argument(
-        "--scale", type=float, default=None,
-        help="problem scale to select / tag (render, ingest, speedups)",
-    )
-    p_rep.add_argument(
-        "--results", default=None, metavar="DIR",
-        help="ingest: directory of committed <experiment>.txt/.json outputs",
-    )
-    p_rep.add_argument(
-        "--runcache", action="store_true",
-        help="ingest: migrate readable run-cache records into the store",
-    )
-    p_rep.add_argument("--app", default=None, help="speedups: filter by app")
-    p_rep.add_argument(
-        "--protocol", choices=("hlrc", "aurc"), default=None,
-        help="speedups: filter by protocol",
-    )
-    p_rep.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="export: output file (.csv, .jsonl, or .parquet with pyarrow)",
-    )
-    p_rep.add_argument(
-        "--table", default="runs",
-        help="export: store table to export (default: runs)",
-    )
-
     return parser
 
 
@@ -757,7 +534,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "sweep": cmd_sweep,
         "experiment": cmd_experiment,
         "cache": cmd_cache,
-        "report": cmd_report,
     }
     return handlers[args.command](args)
 

@@ -275,11 +275,10 @@ def run_points(
         for p in misses:
             resolved[p] = _compute_or_capture(p)
 
-    # Every completed point lands in the columnar result store — the
-    # sweep builds the longitudinal corpus as a side effect.  Cache hits
-    # ingest too, so migrated/old caches backfill; re-ingesting a stored
-    # key takes no lock and writes nothing.  Failures never block the
-    # grid (best-effort by contract).
+    # Every completed point is appended to the result store's runs
+    # table.  Cache hits ingest too, so a fresh store backfills;
+    # re-ingesting a stored key takes no lock and writes nothing.
+    # Failures never block the grid (best-effort by contract).
     _ingest_outcomes(unique, [resolved[p] for p in unique])
 
     failures = [r for r in resolved.values() if isinstance(r, PointFailure)]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.protocol.diffs import page_words
 from repro.protocol.hlrc import HLRCProtocol
 from repro.sim.primitives import AllOf, Event
 from repro.verify.events import EV_INTERVAL, EV_WRITE
@@ -54,7 +53,7 @@ class AURCProtocol(HLRCProtocol):
             home = ctx.directory.home(page, node_id)
         if home != node_id:
             return False  # remote home: the automatic update must ship
-        pw = page_words(ctx.arch, ctx.comm.page_size)
+        pw = self._page_words
         if words > pw:
             words = pw
         d = self.dirty[cpu.global_id]
@@ -73,9 +72,9 @@ class AURCProtocol(HLRCProtocol):
         node = cpu.node
         node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
         home = ctx.directory._homes[page]  # read_immediate assigned it
-        words = min(words, page_words(ctx.arch, ctx.comm.page_size))
+        words = min(words, self._page_words)
         d = self.dirty[cpu.global_id]
-        d[page] = min(page_words(ctx.arch, ctx.comm.page_size), d.get(page, 0) + words)
+        d[page] = min(self._page_words, d.get(page, 0) + words)
         if ctx.verify is not None:
             ctx.verify.record(
                 ctx.sim.now, EV_WRITE, (cpu.global_id, node_id, page, home, words)

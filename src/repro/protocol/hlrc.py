@@ -90,6 +90,8 @@ class HLRCProtocol:
         self.log = IntervalLog(n)
         #: per-processor dirty map: page -> words written this interval
         self.dirty: List[Dict[int, int]] = [dict() for _ in range(n)]
+        #: words per page, the clamp on every dirty count (fixed for a run)
+        self._page_words = page_words(ctx.arch, ctx.comm.page_size)
         self.locks = LockManager(ctx, self.counters, grant_size_fn=self._grant_bytes)
         self.barriers = BarrierManager(
             ctx,
@@ -290,7 +292,7 @@ class HLRCProtocol:
             return False  # twin creation costs simulated time
         if not self.read_immediate(cpu, page):
             return False
-        pw = page_words(ctx.arch, ctx.comm.page_size)
+        pw = self._page_words
         if words > pw:
             words = pw
         d = self.dirty[cpu.global_id]
@@ -310,7 +312,7 @@ class HLRCProtocol:
         node = cpu.node
         node_id = ctx.node_id_of_cpu(cpu) if node is None else node.node_id
         home = ctx.directory._homes[page]  # read_immediate assigned it
-        words = min(words, page_words(ctx.arch, ctx.comm.page_size))
+        words = min(words, self._page_words)
         if home != node_id:
             mem = self.mem[node_id]
             if page not in mem.twins:
@@ -319,9 +321,7 @@ class HLRCProtocol:
                     ctx.verify.record(ctx.sim.now, EV_TWIN, (node_id, page))
                 yield from cpu.busy(twin_cost(ctx.arch, ctx.comm.page_size), "protocol")
         d = self.dirty[cpu.global_id]
-        d[page] = min(
-            page_words(ctx.arch, ctx.comm.page_size), d.get(page, 0) + words
-        )
+        d[page] = min(self._page_words, d.get(page, 0) + words)
         if ctx.verify is not None:
             ctx.verify.record(
                 ctx.sim.now, EV_WRITE, (cpu.global_id, node_id, page, home, words)

@@ -50,11 +50,12 @@ def build_grid(workload, seed):
     return []
 """
 
-# long enough that interpreter start-up jitter stays well inside the bound
+# the stub regeneration the real run_pool_cold times
+RUN_ALL_SLEEP_S = 0.1
 RUN_ALL_PY = """\
 import time
-time.sleep(0.2)
-"""
+time.sleep(%r)
+""" % RUN_ALL_SLEEP_S
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,15 @@ def _checkout(root, correct=True, calls=1000, **overrides):
     return root
 
 
+def _fixed_pool_cold(checkout):
+    """A timed pool_cold row with the same value on both sides: two real
+    stub regenerations differ by host load, not by the checkout."""
+    return {"returncode": 0, "correct": True,
+            "metrics": {"pool_cold_s": 1.0}, "stderr": ""}
+
+
 def _run(gate, tmp_path, monkeypatch, **change):
+    monkeypatch.setattr(gate, "run_pool_cold", _fixed_pool_cold)
     parent = _checkout(tmp_path / "parent")
     monkeypatch.setattr(gate, "REPO", _checkout(tmp_path / "change", **change))
     monkeypatch.chdir(tmp_path)
@@ -147,8 +156,21 @@ def test_ratio_column_shows_a_gain(gate, tmp_path, monkeypatch, capsys):
     for row in report["rows"]:
         if row["metric"] == "points_per_s":
             assert row["ratio"] == pytest.approx(2.5)
-        elif row["metric"] != "pool_cold_s":  # a wall time: only near 1
+        else:
             assert row["ratio"] == pytest.approx(1.0)
+
+
+def test_run_pool_cold_times_a_stub_checkout(gate, tmp_path):
+    run = gate.run_pool_cold(_checkout(tmp_path / "ok"))
+    assert (run["returncode"], run["correct"], run["stderr"]) == (0, True, "")
+    assert run["metrics"]["pool_cold_s"] >= RUN_ALL_SLEEP_S
+
+    broken = _checkout(tmp_path / "broken")
+    (broken / "scripts" / "run_all_experiments.py").write_text(
+        "import sys\nsys.exit('regeneration failed')\n")
+    run = gate.run_pool_cold(broken)
+    assert (run["returncode"], run["correct"], run["metrics"]) == (1, False, {})
+    assert "regeneration failed" in run["stderr"]
 
 
 def test_incorrect_change_fails(gate, tmp_path, monkeypatch):

@@ -71,7 +71,6 @@ def test_rerun_rewrites_a_deleted_export(run_all_script, tmp_path, monkeypatch):
         "EXPERIMENTS",
         {"first": experiment("first"), "second": experiment("second")},
     )
-    monkeypatch.setattr(run_all_script, "ingest_artifact_quietly", lambda *a, **k: None)
     out = tmp_path / "out"
 
     run_all_script.run_all(0.5, out, quiet=True)
@@ -120,7 +119,6 @@ def subset(run_all_script, tmp_path, monkeypatch):
     monkeypatch.setattr(
         run_all_script, "EXPERIMENTS", {name: EXPERIMENTS[name] for name in SUBSET}
     )
-    monkeypatch.setattr(run_all_script, "ingest_artifact_quietly", lambda *a, **k: None)
     yield run_all_script
     runcache.reset_disk_cache()
     clear_caches()

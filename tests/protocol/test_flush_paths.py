@@ -36,15 +36,25 @@ def test_flush_batches_diffs_per_home():
 
 
 def test_dirty_words_clamped_to_page():
-    cluster = build()
-    words = page_words(ArchParams(), 4096)
+    """The slow ``write`` (remote page 1) and ``write_immediate`` (home
+    page 0) both clamp the dirty count to the run's words per page, in
+    both protocols and at both page sizes."""
+    for protocol in ("hlrc", "aurc"):
+        for page_size in (4096, 16384):
+            cluster = build(protocol=protocol, page_size=page_size)
+            words = page_words(ArchParams(), page_size)
+            immediate = []
 
-    def worker(cpu, proto):
-        yield from proto.write(cpu, 1, words=10 * words)
-        yield from proto.write(cpu, 1, words=10 * words)
+            def worker(cpu, proto):
+                yield from proto.write(cpu, 1, words=10 * words)
+                yield from proto.write(cpu, 1, words=10 * words)
+                immediate.append(proto.write_immediate(cpu, 0, words=10 * words))
+                immediate.append(proto.write_immediate(cpu, 0, words=10 * words))
 
-    run_workers(cluster, {0: worker})
-    assert cluster.protocol.dirty[0][1] == words
+            run_workers(cluster, {0: worker})
+            assert immediate == [True, True], (protocol, page_size)
+            assert cluster.protocol.dirty[0] == {1: words, 0: words}, (
+                protocol, page_size)
 
 
 def test_flush_without_dirty_is_noop():
