@@ -23,6 +23,7 @@ documented in DESIGN.md and are trivially overridable via
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 from dataclasses import dataclass
@@ -47,6 +48,20 @@ class CommRegime(str, enum.Enum):
 
 #: valid values for :attr:`CommParams.comm_regime`
 COMM_REGIMES = tuple(r.value for r in CommRegime)
+
+_NUMERIC_TYPES = {"int": int, "float": float, "bool": bool}
+
+
+def canonical_numbers(params: object) -> None:
+    """Give each int/float/bool field of a frozen dataclass its annotated
+    type where the value converts without loss (``1`` in a float field
+    becomes ``1.0``): equal params then encode to equal run-cache keys."""
+    for f in dataclasses.fields(params):
+        kind, value = _NUMERIC_TYPES.get(f.type), getattr(params, f.name)
+        if kind and type(value) is not kind and isinstance(value, (int, float)):
+            with contextlib.suppress(OverflowError, ValueError):  # inf, nan -> int
+                if kind(value) == value:
+                    object.__setattr__(params, f.name, kind(value))
 
 
 @dataclass(frozen=True)
@@ -173,6 +188,7 @@ class ArchParams:
                 f"ArchParams.wb_retire_at ({self.wb_retire_at}) cannot exceed "
                 f"wb_entries ({self.wb_entries})"
             )
+        canonical_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -269,6 +285,7 @@ class CommParams:
                 f"CommParams.rdma_post_cycles must be >= 0, got "
                 f"{self.rdma_post_cycles!r}"
             )
+        canonical_numbers(self)
 
     @property
     def io_bytes_per_cycle(self) -> float:

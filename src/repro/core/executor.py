@@ -60,6 +60,7 @@ import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.core import runcache
 from repro.core.config import ClusterConfig
 from repro.core.metrics import RunResult
 
@@ -180,7 +181,7 @@ def _worker_init() -> None:
     ).start()
 
 
-def _compute_point(point: Point) -> RunResult:
+def _compute_point(point: Point, key: Optional[str] = None) -> RunResult:
     """Pool worker: simulate one point (module-level for picklability).
 
     Delegates to :func:`repro.core.sweeps.cached_run`, so a long-lived
@@ -189,7 +190,7 @@ def _compute_point(point: Point) -> RunResult:
     """
     from repro.core import sweeps
 
-    return sweeps.cached_run(point.app, point.scale, point.config)
+    return sweeps.cached_run(point.app, point.scale, point.config, key)
 
 
 def _capture_failure(point: Point, exc: BaseException) -> PointFailure:
@@ -208,7 +209,9 @@ def _capture_failure(point: Point, exc: BaseException) -> PointFailure:
     )
 
 
-def _compute_or_capture(point: Point) -> Union[RunResult, PointFailure]:
+def _compute_or_capture(
+    point: Point, key: Optional[str] = None
+) -> Union[RunResult, PointFailure]:
     """Pool worker that never raises: failures come back as data, so one
     bad point cannot tear down the whole batch.  Only an interrupt of
     the serial loop propagates."""
@@ -221,7 +224,7 @@ def _compute_or_capture(point: Point) -> Union[RunResult, PointFailure]:
             delay = 0.0
         if delay > 0:
             time.sleep(delay)
-        return _compute_point(point)
+        return _compute_point(point, key)
     except KeyboardInterrupt:
         raise
     except BaseException as exc:  # noqa: BLE001 - the whole point
@@ -247,75 +250,73 @@ def run_points(
     """
     from repro.core import sweeps
 
-    ordered: List[Point] = [Point(*p) for p in points]
-    unique: List[Point] = list(dict.fromkeys(ordered))
+    # each distinct point gets one slot; ``positions`` maps the request
+    # onto the slots, so no later step hashes a point again
+    slots: Dict[Point, int] = {}
+    positions = [slots.setdefault(Point(*p), len(slots)) for p in points]
+    unique: List[Point] = list(slots)
+    keys = [runcache.content_key(*p) for p in unique]
 
     # Satisfy what we can from the layered caches (memory, then disk).
-    resolved: Dict[Point, Union[RunResult, PointFailure]] = {}
-    misses: List[Point] = []
-    for p in unique:
-        hit = sweeps.cached_lookup(p.app, p.scale, p.config)
-        if hit is not None:
-            resolved[p] = hit
-        else:
-            misses.append(p)
+    hits = [sweeps.cached_lookup(*p, key) for p, key in zip(unique, keys)]
+    misses = [i for i, hit in enumerate(hits) if hit is None]
 
     # An oversized pool is pure overhead: clamp workers to the number of
     # points actually missing (jobs=0 already clamps to cpu_count).
     n_jobs = min(resolve_jobs(jobs), len(misses))
+    computed: Dict[int, Union[RunResult, PointFailure]]
     if n_jobs > 1:
-        outcomes = _map_parallel(misses, n_jobs)
-        for p in misses:
-            out = resolved[p] = outcomes[p]
+        computed = _map_parallel([(i, unique[i]) for i in misses], n_jobs)
+        for i, out in computed.items():
             if isinstance(out, RunResult):
                 # the worker wrote the disk layer; install the result in
                 # this process's memory cache so later calls hit
-                sweeps.cache_store(p.app, p.scale, p.config, out, disk=False)
+                sweeps.cache_store(*unique[i], out, disk=False, key=keys[i])
     else:
-        for p in misses:
-            resolved[p] = _compute_or_capture(p)
+        computed = {i: _compute_or_capture(unique[i], keys[i]) for i in misses}
+    outcomes = [computed[i] if hit is None else hit for i, hit in enumerate(hits)]
 
     # Every completed point is appended to the result store's runs
     # table.  Cache hits ingest too, so a fresh store backfills;
     # re-ingesting a stored key takes no lock and writes nothing.
     # Failures never block the grid (best-effort by contract).
-    _ingest_outcomes(unique, [resolved[p] for p in unique])
+    _ingest_outcomes(unique, keys, outcomes)
 
-    failures = [r for r in resolved.values() if isinstance(r, PointFailure)]
+    failures = [r for r in outcomes if isinstance(r, PointFailure)]
     if failures and strict:
         raise GridExecutionError(failures)
-    return [resolved[p] for p in ordered]
+    return [outcomes[i] for i in positions]
 
 
 def _ingest_outcomes(
     points: Sequence[Point],
+    keys: Sequence[str],
     outcomes: Sequence[Union[RunResult, PointFailure]],
 ) -> None:
     """Append a grid's successful outcomes to the result store.
 
-    ``points`` are distinct.  Each key comes from the memo the cache
-    lookup filled, and points the store already holds are dropped by
-    one indexed read before any lock or write.
+    ``points`` are distinct and ``keys`` their content keys.  Points
+    the store already holds are dropped by one indexed read before any
+    lock or write.
     """
-    from repro.core import sweeps
     from repro.core.store import ingest_quietly, result_store
 
     if result_store() is None:
         return
-    entries = []
-    for p, out in zip(points, outcomes):
-        if isinstance(out, RunResult):
-            key = sweeps.point_key(p.app, p.scale, p.config)
-            entries.append((key, out, p.scale))
+    entries = [
+        (key, out, p.scale)
+        for p, key, out in zip(points, keys, outcomes)
+        if isinstance(out, RunResult)
+    ]
     if entries:
         ingest_quietly(entries)
 
 
 def _map_parallel(
-    misses: Sequence[Point], workers: int
-) -> Dict[Point, Union[RunResult, PointFailure]]:
-    """Fan points across a pool of ``workers`` processes, one future
-    per point.
+    misses: Sequence[Tuple[int, Point]], workers: int
+) -> Dict[int, Union[RunResult, PointFailure]]:
+    """Fan ``(slot, point)`` pairs across a pool of ``workers``
+    processes, one future per point; returns the outcomes by slot.
 
     At most one future per worker is outstanding: the next point, in
     ``misses`` order, is submitted as each one completes.  So nothing
@@ -335,19 +336,19 @@ def _map_parallel(
     """
     from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 
-    outcomes: Dict[Point, Union[RunResult, PointFailure]] = {}
+    outcomes: Dict[int, Union[RunResult, PointFailure]] = {}
     queue = iter(misses)
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
-        running: Dict[Future, Point] = {}
+        running: Dict[Future, Tuple[int, Point]] = {}
 
         def submit_next() -> None:
-            for p in queue:
+            for i, p in queue:
                 try:
                     fut = pool.submit(_compute_or_capture, p)
                 except Exception as exc:  # noqa: BLE001 - a broken pool
-                    outcomes[p] = _capture_failure(p, exc)
+                    outcomes[i] = _capture_failure(p, exc)
                     continue
-                running[fut] = p
+                running[fut] = (i, p)
                 return
 
         for _ in range(workers):
@@ -355,10 +356,10 @@ def _map_parallel(
         while running:
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for fut in done:
-                p = running.pop(fut)
+                i, p = running.pop(fut)
                 try:
-                    outcomes[p] = fut.result()
+                    outcomes[i] = fut.result()
                 except Exception as exc:  # noqa: BLE001 - see docstring
-                    outcomes[p] = _capture_failure(p, exc)
+                    outcomes[i] = _capture_failure(p, exc)
                 submit_next()
     return outcomes

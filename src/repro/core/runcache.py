@@ -10,7 +10,9 @@ scale, the RNG seed, the full :class:`~repro.core.config.ClusterConfig`
 (architecture *and* communication parameters), and :data:`MODEL_VERSION`.
 Records are single pickle files under the cache root (default
 ``results/.runcache/``; override with ``REPRO_CACHE_DIR``; disable the
-whole layer with ``REPRO_DISK_CACHE=0``).
+whole layer with ``REPRO_DISK_CACHE=0``).  A record (format 3) holds the
+result without its config, which :meth:`DiskCache.get` takes from the
+caller: the key already hashes that config.
 
 Integrity
 ---------
@@ -66,7 +68,9 @@ MODEL_VERSION = 4
 #: on-disk record layout version (the pickle envelope, not the model).
 #: 2: checksummed envelope — the result is pickled separately into a
 #:    ``payload`` bytes field guarded by a ``sha256`` over those bytes.
-_FORMAT_VERSION = 2
+#: 3: the payload's result has ``config=None``; ``get`` re-attaches the
+#:    caller's config.  Format-2 records are stale misses.
+_FORMAT_VERSION = 3
 
 _MAGIC = "repro-runcache"
 
@@ -86,6 +90,12 @@ def _encode(obj: object) -> object:
     return repr(obj)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode)
+#: each config's canonical JSON, so a pass encodes it once (dropped by
+#: :func:`repro.core.sweeps.clear_caches`)
+CONFIG_JSON: Dict["ClusterConfig", str] = {}
+
+
 def content_key(app: str, scale: float, config: "ClusterConfig") -> str:
     """Stable content hash identifying one simulation point.
 
@@ -94,16 +104,17 @@ def content_key(app: str, scale: float, config: "ClusterConfig") -> str:
     ``CommParams`` included) — plus :data:`MODEL_VERSION`.  It is stable
     across processes and Python invocations (no reliance on ``hash()``),
     and its bytes must never change without a :data:`MODEL_VERSION`
-    bump: every record on disk is filed under one.
+    bump: every record on disk is filed under one.  They are the
+    ``sort_keys`` compact JSON of ``{"app", "config", "model_version",
+    "scale", "seed"}``, spliced around the config's memoized encoding.
     """
-    payload = {
-        "model_version": MODEL_VERSION,
-        "app": app,
-        "scale": repr(float(scale)),
-        "seed": config.seed,
-        "config": config,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_encode)
+    fragment = CONFIG_JSON.get(config)
+    if fragment is None:
+        fragment = CONFIG_JSON[config] = _ENCODER.encode(config)
+    enc = _ENCODER.encode
+    blob = '{"app":%s,"config":%s,"model_version":%s,"scale":%s,"seed":%s}' % (
+        enc(app), fragment, enc(MODEL_VERSION), enc(repr(float(scale))), enc(config.seed)
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -192,11 +203,13 @@ class DiskCache:
             dest,
         )
 
-    def get(self, key: str) -> Optional["RunResult"]:
+    def get(self, key: str, config: "ClusterConfig") -> Optional["RunResult"]:
+        """The result filed under ``key``, with ``config`` re-attached, or ``None``."""
         path = self._path(key)
         status, result = self._classify(path)
-        if status == "ok":
+        if result is not None:
             self.hits += 1
+            result.config = config
             return result
         if status == "corrupt":
             self._quarantine(path)
@@ -204,7 +217,8 @@ class DiskCache:
         return None
 
     def put(self, key: str, result: "RunResult") -> None:
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        bare = dataclasses.replace(result, config=None)  # type: ignore[arg-type]
+        payload = pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL)
         record = {
             "magic": _MAGIC,
             "format": _FORMAT_VERSION,

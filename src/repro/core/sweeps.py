@@ -23,15 +23,15 @@ from repro.core.config import ClusterConfig
 from repro.core.metrics import RunResult
 from repro.core.run import run_simulation
 
-_RUN_CACHE: Dict[Tuple, RunResult] = {}
+#: results by run-cache content key: a string caches its own hash, so a
+#: lookup does not re-hash the config
+_RUN_CACHE: Dict[str, RunResult] = {}
 _TRACE_CACHE: Dict[Tuple, AppTrace] = {}
-#: each point's run-cache content key, so a point pays for it once
-_KEY_CACHE: Dict[Tuple, str] = {}
 
 
 def clear_caches(disk: bool = False) -> None:
-    """Drop the in-memory run/trace caches; ``disk=True`` also purges the
-    persistent cache directory.
+    """Drop the in-memory run/trace caches and the memoized config
+    encodings; ``disk=True`` also purges the persistent cache directory.
 
     The disk cache is keyed on :data:`repro.core.runcache.MODEL_VERSION`;
     bump that constant on any cost-model change instead of relying on a
@@ -39,7 +39,7 @@ def clear_caches(disk: bool = False) -> None:
     """
     _RUN_CACHE.clear()
     _TRACE_CACHE.clear()
-    _KEY_CACHE.clear()
+    runcache.CONFIG_JSON.clear()
     if disk:
         cache = runcache.disk_cache()
         if cache is not None:
@@ -58,32 +58,22 @@ def cached_trace(
     return trace
 
 
-def point_key(name: str, scale: float, config: ClusterConfig) -> str:
-    """The point's :func:`repro.core.runcache.content_key`, memoized
-    until :func:`clear_caches`: lookup, store and result-store ingest
-    of one point share a single computation."""
-    key = (name, scale, config)
-    digest = _KEY_CACHE.get(key)
-    if digest is None:
-        digest = _KEY_CACHE[key] = runcache.content_key(name, scale, config)
-    return digest
-
-
 def cached_lookup(
-    name: str, scale: float, config: ClusterConfig
+    name: str, scale: float, config: ClusterConfig, key: Optional[str] = None
 ) -> Optional[RunResult]:
     """Fetch one point from the cache layers without simulating.
 
-    A disk hit is promoted into the in-memory cache.  Returns ``None``
-    on a full miss.
+    ``key`` is the point's :func:`repro.core.runcache.content_key`, when
+    the caller has it already.  A disk hit is promoted into the
+    in-memory cache.  Returns ``None`` on a full miss.
     """
-    key = (name, scale, config)
+    key = key or runcache.content_key(name, scale, config)
     result = _RUN_CACHE.get(key)
     if result is not None:
         return result
     disk = runcache.disk_cache()
     if disk is not None:
-        result = disk.get(point_key(name, scale, config))
+        result = disk.get(key, config)
         if result is not None:
             _RUN_CACHE[key] = result
     return result
@@ -95,33 +85,38 @@ def cache_store(
     config: ClusterConfig,
     result: RunResult,
     disk: bool = True,
+    key: Optional[str] = None,
 ) -> None:
     """Install a computed point into the cache layers.
 
     ``disk=False`` skips the persistent layer (used when the record is
     known to be on disk already, e.g. written by the pool worker that
     computed it)."""
-    _RUN_CACHE[(name, scale, config)] = result
+    key = key or runcache.content_key(name, scale, config)
+    _RUN_CACHE[key] = result
     if disk:
         cache = runcache.disk_cache()
         if cache is not None:
-            cache.put(point_key(name, scale, config), result)
+            cache.put(key, result)
 
 
-def cached_run(name: str, scale: float, config: ClusterConfig) -> RunResult:
+def cached_run(
+    name: str, scale: float, config: ClusterConfig, key: Optional[str] = None
+) -> RunResult:
     """Run (or fetch) one (app, config) point.
 
     The trace is regenerated when the configuration's page size or
     processor count changes (page numbers and the work split depend on
     them); clustering changes reuse the same trace.
     """
-    result = cached_lookup(name, scale, config)
+    key = key or runcache.content_key(name, scale, config)
+    result = cached_lookup(name, scale, config, key)
     if result is None:
         trace = cached_trace(
             name, scale, config.comm.page_size, config.seed, config.total_procs
         )
         result = run_simulation(trace, config)
-        cache_store(name, scale, config, result)
+        cache_store(name, scale, config, result, key=key)
     return result
 
 

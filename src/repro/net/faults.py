@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
+from repro.arch.params import canonical_numbers
 from repro.sim.engine import SimulationStuckError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,6 +115,7 @@ class FaultParams:
                 f"FaultParams.retry_jitter must be in [0, 1], got "
                 f"{self.retry_jitter!r}"
             )
+        canonical_numbers(self)
 
     @property
     def enabled(self) -> bool:

@@ -184,12 +184,12 @@ def test_crashed_worker_fails_points_instead_of_aborting(fresh, monkeypatch):
     compute = executor._compute_point
     parent = os.getpid()
 
-    def crash_on_lu(point):
+    def crash_on_lu(point, *key):
         if point.app == "lu":
             if os.getpid() != parent:
                 os._exit(1)
             raise RuntimeError("lu run in-process")  # never kill the test
-        return compute(point)
+        return compute(point, *key)
 
     # pool workers fork from this process, so they inherit the patch
     monkeypatch.setattr(executor, "_compute_point", crash_on_lu)

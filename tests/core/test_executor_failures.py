@@ -65,9 +65,9 @@ def test_failed_point_is_computed_once(fresh, monkeypatch):
     compute = executor._compute_point
     calls = []
 
-    def counting(point):
+    def counting(point, *key):
         calls.append(point.app)
-        return compute(point)
+        return compute(point, *key)
 
     monkeypatch.setattr(executor, "_compute_point", counting)
     results = run_points(_mixed_grid(), jobs=1, strict=False)
@@ -119,11 +119,11 @@ def test_serial_interrupt_stops_the_grid(fresh, monkeypatch):
     compute = executor._compute_point
     calls = []
 
-    def interrupt_second(point):
+    def interrupt_second(point, *key):
         calls.append(point.app)
         if len(calls) == 2:
             raise KeyboardInterrupt
-        return compute(point)
+        return compute(point, *key)
 
     monkeypatch.setattr(executor, "_compute_point", interrupt_second)
     with pytest.raises(KeyboardInterrupt):

@@ -1,13 +1,30 @@
 """Persistent disk cache: content hashing, round-trips, invalidation."""
 
 import dataclasses
+import hashlib
+import json
+import math
 import pickle
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch.params import CommParams
+from repro.apps import APP_ORDER
+from repro.arch.params import (
+    COMM_REGIMES,
+    HOST_OVERHEAD_SWEEP,
+    INTERRUPT_COST_SWEEP,
+    IO_BANDWIDTH_SWEEP,
+    NI_OCCUPANCY_SWEEP,
+    PAGE_SIZE_SWEEP,
+    PROCS_PER_NODE_SWEEP,
+    ArchParams,
+    CommParams,
+    canonical_numbers,
+)
 from repro.core import runcache
 from repro.core.config import ClusterConfig
 from repro.core.runcache import DiskCache, content_key
@@ -76,6 +93,125 @@ def test_content_key_bytes_are_pinned():
     assert content_key("fft", 0.5, faulty) == (
         "255c01275221ce60c30465d00a30231c3c81c38b8fd0e751f457a732cd3cc9ae"
     )
+
+
+def _old_encode(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return repr(obj)
+
+
+def _old_content_key(app, scale, config):
+    """The whole-payload encoder ``content_key`` used before it spliced
+    a memoized config encoding: the reference its bytes must match."""
+    payload = {
+        "model_version": runcache.MODEL_VERSION,
+        "app": app,
+        "scale": repr(float(scale)),
+        "seed": config.seed,
+        "config": config,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_old_encode)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _config(protocol, collective, seed, comm, faults, verify, free_fetches, policy):
+    return ClusterConfig(
+        protocol=protocol,
+        collective=collective,
+        seed=seed,
+        verify=verify,
+        free_page_fetches=free_fetches,
+        home_policy=policy,
+    ).with_comm(**comm).with_faults(**faults)
+
+
+_probs = st.floats(0.0, 1.0)
+_configs = st.builds(
+    _config,
+    protocol=st.sampled_from(("hlrc", "aurc")),
+    collective=st.sampled_from(("flat", "tree", "dissemination")),
+    seed=st.integers(0, 2**40),
+    comm=st.fixed_dictionaries(
+        {
+            "host_overhead": st.sampled_from(HOST_OVERHEAD_SWEEP) | st.integers(0, 10**6),
+            "io_bus_mb_per_mhz": st.sampled_from(IO_BANDWIDTH_SWEEP)
+            | st.floats(1e-3, 1e3),
+            "ni_occupancy": st.sampled_from(NI_OCCUPANCY_SWEEP),
+            "interrupt_cost": st.sampled_from(INTERRUPT_COST_SWEEP),
+            "page_size": st.sampled_from(PAGE_SIZE_SWEEP),
+            "procs_per_node": st.sampled_from(PROCS_PER_NODE_SWEEP),
+            "comm_regime": st.sampled_from(COMM_REGIMES),
+            "protocol_processing": st.sampled_from(
+                ("interrupt", "polling-dedicated", "ni-offload")
+            ),
+        }
+    ),
+    faults=st.fixed_dictionaries(
+        {
+            "drop_prob": _probs,
+            "dup_prob": _probs,
+            "retry_jitter": _probs,
+            "fault_seed": st.integers(0, 2**40),
+            "degraded_links": st.lists(
+                st.tuples(st.integers(0, 7), st.integers(0, 7), st.floats(0.0, 0.99)),
+                max_size=2,
+            ).map(tuple),
+        }
+    ),
+    verify=st.booleans(),
+    free_fetches=st.booleans(),
+    policy=st.sampled_from(("first_touch", "round_robin")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    app=st.sampled_from(APP_ORDER),
+    scale=st.sampled_from((0.02, 0.05, 0.25, 1.0)) | st.floats(1e-3, 4.0),
+    config=_configs,
+)
+def test_spliced_key_matches_the_whole_payload_encoder(app, scale, config):
+    assert content_key(app, scale, config) == _old_content_key(app, scale, config)
+
+
+#: pairs of equal configs, one built with a value of the field's
+#: annotated type and one with a number of another type
+_BASE = ClusterConfig()
+_TWINS = [
+    (_BASE.with_comm(io_bus_mb_per_mhz=1.0), _BASE.with_comm(io_bus_mb_per_mhz=1)),
+    (_BASE.with_comm(host_overhead=3000), _BASE.with_comm(host_overhead=3000.0)),
+    (ClusterConfig(arch=ArchParams(ipc=2.0)), ClusterConfig(arch=ArchParams(ipc=2))),
+    (
+        ClusterConfig(arch=ArchParams(model_rx_gate=False)),
+        ClusterConfig(arch=ArchParams(model_rx_gate=0)),
+    ),
+    (_BASE.with_faults(drop_prob=1.0), _BASE.with_faults(drop_prob=1)),
+    (_BASE.with_faults(retry_timeout=5000), _BASE.with_faults(retry_timeout=5e3)),
+]
+
+
+@pytest.mark.parametrize("canonical,twin", _TWINS)
+@pytest.mark.parametrize("first", [0, 1])
+def test_equal_configs_get_one_key_in_either_lookup_order(canonical, twin, first):
+    assert canonical == twin and hash(canonical) == hash(twin)
+    # a fresh process encodes each twin without a memo
+    fresh = [_old_content_key("fft", 0.5, c) for c in (canonical, twin)]
+    assert fresh[0] == fresh[1]
+    clear_caches()
+    order = (canonical, twin) if first == 0 else (twin, canonical)
+    assert [content_key("fft", 0.5, c) for c in order] == fresh
+    clear_caches()
+
+
+def test_canonical_numbers_leaves_lossy_values_alone():
+    comm = CommParams(host_overhead=500.5, interrupt_cost=math.inf)
+    assert comm.host_overhead == 500.5 and comm.interrupt_cost == math.inf
+    # an integral float in an int field becomes that int, in place
+    comm = CommParams(ni_occupancy=200.0)
+    assert type(comm.ni_occupancy) is int
+    canonical_numbers(comm)  # idempotent
+    assert comm == CommParams(ni_occupancy=200)
 
 
 def test_content_key_changes_with_every_comm_field():
@@ -147,9 +283,10 @@ def test_cached_lookup_misses_then_hits(cache_dir):
 )
 def test_corrupt_record_is_a_miss(cache_dir, junk):
     cache = DiskCache(cache_dir)
-    key = content_key("fft", 0.5, ClusterConfig())
+    cfg = ClusterConfig()
+    key = content_key("fft", 0.5, cfg)
     (cache_dir / f"{key}.pkl").write_bytes(junk)
-    assert cache.get(key) is None
+    assert cache.get(key, cfg) is None
 
 
 def test_stale_model_version_is_a_miss(cache_dir, monkeypatch):
@@ -161,7 +298,7 @@ def test_stale_model_version_is_a_miss(cache_dir, monkeypatch):
     # because the record header carries the version it was written under
     cache = runcache.disk_cache()
     for entry in cache.entries():
-        assert cache.get(entry.stem) is None
+        assert cache.get(entry.stem, cfg) is None
 
 
 def test_clear_caches_disk_flag(cache_dir):
@@ -190,15 +327,14 @@ def test_disk_cache_can_be_disabled(tmp_path, monkeypatch):
 
 
 def test_warm_grid_computes_each_key_once(cache_dir, monkeypatch):
-    """A warm pass pays one key per point: lookup and store ingest share it."""
+    """A pass pays one key per point: lookup, simulation, cache write and
+    store ingest share it, cold or warm."""
     from repro.core.executor import run_points
 
     grid = [
         ("lu", 0.05, ClusterConfig().with_comm(interrupt_cost=c))
         for c in (0, 500, 2000)
     ]
-    cold = run_points(grid + grid[:1], jobs=1)
-    clear_caches()  # drop memory: the next pass is served from disk
     calls = []
     real = runcache.content_key
 
@@ -207,6 +343,10 @@ def test_warm_grid_computes_each_key_once(cache_dir, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(runcache, "content_key", counting)
+    cold = run_points(grid + grid[:1], jobs=1)
+    assert len(calls) == len(grid)
+    clear_caches()  # drop memory: the next pass is served from disk
+    calls.clear()
     warm = run_points(grid + grid[:1], jobs=1)
     assert warm == cold
     assert len(calls) == len(grid)

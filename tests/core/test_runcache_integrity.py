@@ -1,5 +1,6 @@
 """Run-cache integrity: checksummed envelopes, quarantine, advisory locking."""
 
+import hashlib
 import os
 import pathlib
 import pickle
@@ -16,6 +17,7 @@ from repro.core.metrics import RunResult
 from repro.core.sweeps import cached_run
 
 SCALE = 0.05
+CFG = ClusterConfig()
 
 
 @pytest.fixture
@@ -25,7 +27,7 @@ def cache(tmp_path):
 
 def _result() -> RunResult:
     # served from the session-level run cache after the first call
-    return cached_run("lu", SCALE, ClusterConfig())
+    return cached_run("lu", SCALE, CFG)
 
 
 def _record(cache: runcache.DiskCache, key: str = "k" * 8) -> str:
@@ -38,8 +40,8 @@ def _record(cache: runcache.DiskCache, key: str = "k" * 8) -> str:
 # --------------------------------------------------------------------- #
 def test_roundtrip_ok(cache):
     key = _record(cache)
-    got = cache.get(key)
-    assert got is not None and got.app_name == "lu"
+    got = cache.get(key, CFG)
+    assert got == _result() and got.app_name == "lu"
     assert cache.hits == 1 and cache.quarantined == 0
 
 
@@ -47,7 +49,7 @@ def test_garbage_bytes_quarantined_not_crash(cache):
     key = _record(cache)
     path = cache._path(key)
     path.write_bytes(b"not a pickle at all")
-    assert cache.get(key) is None  # a miss, never an exception
+    assert cache.get(key, CFG) is None  # a miss, never an exception
     assert cache.quarantined == 1
     assert not path.exists()
     assert (cache.quarantine_dir / path.name).exists()
@@ -58,7 +60,7 @@ def test_truncated_record_quarantined(cache):
     path = cache._path(key)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    assert cache.get(key) is None
+    assert cache.get(key, CFG) is None
     assert (cache.quarantine_dir / path.name).exists()
 
 
@@ -74,7 +76,7 @@ def test_checksum_mismatch_quarantined(cache):
     envelope["payload"] = bytes(payload)
     with open(path, "wb") as fh:
         pickle.dump(envelope, fh)
-    assert cache.get(key) is None
+    assert cache.get(key, CFG) is None
     assert cache.quarantined == 1
     assert (cache.quarantine_dir / path.name).exists()
 
@@ -87,7 +89,7 @@ def test_stale_version_is_miss_but_not_quarantined(cache):
     envelope["model_version"] = runcache.MODEL_VERSION - 1
     with open(path, "wb") as fh:
         pickle.dump(envelope, fh)
-    assert cache.get(key) is None
+    assert cache.get(key, CFG) is None
     assert cache.quarantined == 0
     assert path.exists()  # valid history stays in place
 
@@ -95,9 +97,62 @@ def test_stale_version_is_miss_but_not_quarantined(cache):
 def test_poisoned_record_recovers_on_rewrite(cache):
     key = _record(cache)
     cache._path(key).write_bytes(b"\x00" * 32)
-    assert cache.get(key) is None  # quarantined
+    assert cache.get(key, CFG) is None  # quarantined
     cache.put(key, _result())  # a recompute rewrites the slot
-    assert cache.get(key) is not None
+    assert cache.get(key, CFG) == _result()
+
+
+# --------------------------------------------------------------------- #
+# format 3: the record holds the result without its config
+# --------------------------------------------------------------------- #
+def _envelope(cache: runcache.DiskCache, key: str) -> dict:
+    with open(cache._path(key), "rb") as fh:
+        return pickle.load(fh)
+
+
+def _write_format2(cache: runcache.DiskCache, key: str, result: RunResult) -> None:
+    """The record a format-2 checkout wrote: the whole result, config included."""
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    record = {
+        "magic": runcache._MAGIC,
+        "format": 2,
+        "model_version": runcache.MODEL_VERSION,
+        "app": result.app_name,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "payload": payload,
+    }
+    cache.root.mkdir(parents=True, exist_ok=True)
+    with open(cache._path(key), "wb") as fh:
+        pickle.dump(record, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def test_record_payload_has_no_config(cache):
+    key = _record(cache)
+    envelope = _envelope(cache, key)
+    assert envelope["format"] == 3
+    assert pickle.loads(envelope["payload"]).config is None
+    assert _result().config is CFG  # put pickled a copy
+
+
+def test_get_reattaches_the_callers_config(cache):
+    key = _record(cache)
+    cfg = ClusterConfig()
+    got = cache.get(key, cfg)
+    assert got.config is cfg
+    assert got == _result()
+
+
+def test_format2_record_is_a_stale_miss_until_rewritten(cache):
+    key = _record(cache)
+    _write_format2(cache, key, _result())
+    report = cache.verify()
+    assert (report["ok"], report["stale"], report["quarantined"]) == (0, 1, 0)
+    assert cache.get(key, CFG) is None
+    assert cache.quarantined == 0 and cache._path(key).exists()
+    cache.put(key, _result())  # the recompute's put replaces it
+    assert _envelope(cache, key)["format"] == 3
+    assert cache.get(key, CFG) == _result()
+    assert cache.verify()["ok"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -118,7 +173,7 @@ def test_verify_counts_every_disposition(cache):
     assert report["ok"] == 1 and report["stale"] == 1
     assert report["quarantined"] == 1
     assert report["quarantined_files"] == [cache._path(bad_key).name]
-    assert cache.get(ok_key) is not None
+    assert cache.get(ok_key, CFG) == _result()
     # a second audit is clean: the corrupt record is already moved aside
     assert cache.verify()["quarantined"] == 0
 
@@ -126,7 +181,7 @@ def test_verify_counts_every_disposition(cache):
 def test_stats_reports_quarantine_depth(cache):
     key = _record(cache)
     cache._path(key).write_bytes(b"rot")
-    cache.get(key)
+    cache.get(key, CFG)
     stats = cache.stats()
     assert stats["session_quarantined"] == 1
     assert stats["in_quarantine"] == 1
@@ -135,7 +190,7 @@ def test_stats_reports_quarantine_depth(cache):
 def test_clear_empties_quarantine_too(cache):
     key = _record(cache)
     cache._path(key).write_bytes(b"rot")
-    cache.get(key)
+    cache.get(key, CFG)
     cache.clear()
     assert cache.entries() == []
     assert list(cache.quarantine_dir.glob("*.pkl")) == []
@@ -221,7 +276,7 @@ def test_two_processes_put_the_same_keys(tmp_path):
 
     cache = runcache.DiskCache(root)
     for i in range(20):
-        assert cache.get(f"key{i:02d}") == expected
+        assert cache.get(f"key{i:02d}", expected.config) == expected
     assert cache.hits == 20 and cache.quarantined == 0
     assert cache.verify()["ok"] == 20
     assert list(root.glob("*.tmp")) == []

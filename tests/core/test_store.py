@@ -253,11 +253,33 @@ from repro.apps import get_app
 from repro.core import ClusterConfig, run_simulation
 from repro.core.store import ResultStore
 
-writer, n, db = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+writer, n, db, writers = sys.argv[1], int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
 cfg = ClusterConfig()
 trace = get_app("fft", page_size=cfg.comm.page_size, scale=0.02, seed=cfg.seed)
 result = run_simulation(trace, cfg)
 store = ResultStore(db)
+read = ResultStore._unstored
+raced = 0
+
+
+def read_then_wait(conn, entries):
+    # hold each writer just past its unlocked read of a shared key until
+    # every writer has read that key: all of them then insert it
+    global raced
+    fresh = {key for key, _, _ in read(conn, entries)}
+    for key, _, _ in entries:
+        if key.startswith("shared-"):
+            open(f"{db}.{key}.{writer}", "w").close()
+            deadline = time.monotonic() + 60
+            while not all(os.path.exists(f"{db}.{key}.w{j}") for j in range(writers)):
+                if time.monotonic() > deadline:
+                    sys.exit(f"{writer}: no other writer reached {key}")
+                time.sleep(0.001)
+            raced += key in fresh
+    return [entry for entry in entries if entry[0] in fresh]
+
+
+ResultStore._unstored = staticmethod(read_then_wait)
 barrier = db + ".go"
 while not os.path.exists(barrier):
     time.sleep(0.001)
@@ -266,6 +288,7 @@ while not os.path.exists(barrier):
 for i in range(n):
     store.ingest_results([(f"shared-{i:03d}", result, 0.02)])
     store.ingest_results([(f"{writer}-{i:03d}", result, 0.02)])
+print(raced)
 """
 
 WRITERS = 2
@@ -273,20 +296,29 @@ KEYS_PER_WRITER = 12
 
 
 def test_two_processes_ingest_without_loss_or_duplication(tmp_path):
+    """Both writers pass the unlocked read of every shared key before
+    either inserts it, so each shared key is inserted twice: the store
+    must keep one row and fail neither writer."""
     db = tmp_path / "race.sqlite"
     env = dict(os.environ, PYTHONPATH="src")
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", CHILD, f"w{i}", str(KEYS_PER_WRITER), str(db)],
+            [sys.executable, "-c", CHILD, f"w{i}", str(KEYS_PER_WRITER), str(db),
+             str(WRITERS)],
             env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+            stdout=subprocess.PIPE,
+            text=True,
         )
         for i in range(WRITERS)
     ]
     time.sleep(0.2)  # let both children finish their setup simulation
     (tmp_path / "race.sqlite.go").write_text("")
     for p in procs:
-        assert p.wait(timeout=120) == 0
+        out, _ = p.communicate(timeout=120)
+        assert p.returncode == 0
+        # the writer found every shared key unstored at its read
+        assert int(out) == KEYS_PER_WRITER
 
     expected = {f"shared-{i:03d}" for i in range(KEYS_PER_WRITER)} | {
         f"w{w}-{i:03d}"
