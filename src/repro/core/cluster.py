@@ -168,15 +168,12 @@ class Cluster:
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(config.faults) if config.faults.enabled else None
         )
-        # Deadlock detection is free (one scan when the heap drains) so it
-        # is always on; livelock counting forces the general dispatch
-        # loop, so it is armed only when faults can cause retry storms
-        # that might spin.
-        watchdog = Watchdog(
-            deadlock=True,
-            livelock_events=DEFAULT_LIVELOCK_EVENTS if self.fault_injector else None,
+        # Deadlock detection is one scan when the calendar drains, and
+        # the livelock cap is checked only when a batch is re-read, so
+        # both are armed on every run.
+        self.sim = Simulator(
+            watchdog=Watchdog(livelock_events=DEFAULT_LIVELOCK_EVENTS)
         )
-        self.sim = Simulator(watchdog=watchdog)
         arch, comm = config.arch, config.comm
         self.network = Network(
             self.sim, arch.link_bytes_per_cycle, arch.link_latency_cycles

@@ -5,9 +5,10 @@ switches themselves ("Contention is modeled at all levels except in the
 network links and switches"), and does not vary link latency because it is
 a small, constant part of the end-to-end latency in a system-area network.
 
-Accordingly :class:`Network` is a contention-free fabric: a message
-experiences its serialization time at link bandwidth plus a constant
-latency, with no queueing against other messages.
+Accordingly :class:`Network` is a contention-free fabric with no
+queueing against other messages: the sending NI folds serialization at
+link bandwidth into its path reservation, and the fabric adds the
+constant latency.
 """
 
 from __future__ import annotations
@@ -57,15 +58,6 @@ class Network:
         #: optional metrics registry (None = disabled, single check per message)
         self.metrics = None
 
-    def _count(self, msg: "Message", wire_bytes: int) -> None:
-        self.messages_carried += 1
-        self.bytes_carried += wire_bytes
-        metrics = self.metrics
-        if metrics is not None:
-            kind = msg.kind.name.lower()
-            metrics.bump(f"link.msgs.{kind}")
-            metrics.bump(f"link.bytes.{kind}", wire_bytes)
-
     def attach(self, node_id: int, on_arrival: Callable[["Message", int], None]) -> None:
         """Register the receive hook for a node's NI."""
         if node_id in self._receivers:
@@ -84,19 +76,21 @@ class Network:
             raise ValueError(f"no NI endpoint for node {node_id}") from None
 
     def deliver(self, msg: "Message", wire_bytes: int) -> None:
-        """Deliver after the constant link latency only — used by the
-        pipelined path model, where serialization time is already folded
-        into the endpoints' bottleneck-stage computation."""
+        """Deliver after the constant link latency only: serialization
+        time is already folded into the endpoints' bottleneck-stage
+        computation (the pipelined path model)."""
         try:
             receiver = self._receivers[msg.dst_node]
         except KeyError:
             raise ValueError(f"no NI attached for node {msg.dst_node}") from None
-        # _count and Simulator.schedule written out: one call per message
-        if self.metrics is None:
-            self.messages_carried += 1
-            self.bytes_carried += wire_bytes
-        else:
-            self._count(msg, wire_bytes)
+        # Simulator.schedule written out: one call per message
+        self.messages_carried += 1
+        self.bytes_carried += wire_bytes
+        metrics = self.metrics
+        if metrics is not None:
+            kind = msg.kind.name.lower()
+            metrics.bump(f"link.msgs.{kind}")
+            metrics.bump(f"link.bytes.{kind}", wire_bytes)
         sim = self.sim
         when = sim.now + self._latency
         bucket = sim._buckets.get(when)
@@ -106,16 +100,3 @@ class Network:
         else:
             bucket.append(receiver)
             bucket.append((msg, wire_bytes))
-
-    def transit_cycles(self, wire_bytes: int) -> int:
-        """Serialization + constant latency for a message of this size."""
-        return self.latency_cycles + int(math.ceil(wire_bytes / self.bytes_per_cycle))
-
-    def carry(self, msg: "Message", wire_bytes: int) -> None:
-        """Launch ``msg`` into the fabric; it arrives after transit."""
-        try:
-            receiver = self._receivers[msg.dst_node]
-        except KeyError:
-            raise ValueError(f"no NI attached for node {msg.dst_node}") from None
-        self._count(msg, wire_bytes)
-        self.sim.schedule(self.transit_cycles(wire_bytes), receiver, msg, wire_bytes)

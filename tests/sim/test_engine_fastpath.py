@@ -1,5 +1,6 @@
-"""The optimized dispatch fast path must be observationally identical to
-the general loop (same order, same clock, same counts, same rounding)."""
+"""The fused live-bucket drain in ``Simulator.run`` must be observationally
+identical to a per-event ``step()`` drain (same order, same clock, same
+counts, same rounding)."""
 
 import math
 
@@ -22,24 +23,29 @@ def _storm(sim, log):
     sim.schedule(1.2, tick, "float", 2)
 
 
-def test_fast_path_matches_general_loop():
-    # fast path: no until/max_events
-    fast_log = []
-    fast = Simulator()
-    _storm(fast, fast_log)
-    n_fast = fast.run()
+def _step_drain(sim):
+    """The per-event reference: dispatch one event at a time."""
+    n = 0
+    while sim.step():
+        n += 1
+    return n
 
-    # general path: an event budget it never reaches forces the
-    # per-event-branch loop
-    slow_log = []
-    slow = Simulator()
-    _storm(slow, slow_log)
-    n_slow = slow.run(max_events=1_000_000)
 
-    assert fast_log == slow_log
-    assert n_fast == n_slow
-    assert fast.now == slow.now
-    assert fast.dispatched == slow.dispatched
+def test_run_matches_step_drain():
+    run_log = []
+    run = Simulator()
+    _storm(run, run_log)
+    n_run = run.run()
+
+    step_log = []
+    step = Simulator()
+    _storm(step, step_log)
+    n_step = _step_drain(step)
+
+    assert run_log == step_log
+    assert n_run == n_step
+    assert run.now == step.now
+    assert run.dispatched == step.dispatched
 
 
 def test_float_delays_still_round_up():
@@ -60,20 +66,15 @@ def test_int_delay_fast_path_has_no_float_roundtrip():
     assert seen == [big]
 
 
-# both dispatch loops: the fused fast path, and the general loop an event
-# budget it never reaches forces
-RUN_KWARGS = [{}, {"max_events": 1_000_000}]
-
-
 def test_dispatched_counter_flushed_on_callback_error():
-    _resume_after_callback_error({})
+    _resume_after_callback_error(Simulator.run)
 
 
-def test_general_loop_resumes_after_callback_error():
-    _resume_after_callback_error(RUN_KWARGS[1])
+def test_step_drain_resumes_after_callback_error():
+    _resume_after_callback_error(_step_drain)
 
 
-def _resume_after_callback_error(run_kwargs):
+def _resume_after_callback_error(drain):
     """A callback that schedules into its own cycle and then raises: the
     failing event is consumed and counted once, and the next run
     dispatches the rest of its batch, appends included, once each and
@@ -93,22 +94,22 @@ def _resume_after_callback_error(run_kwargs):
     sim.schedule(3, log.append, "c")
     assert sim.pending == 4
     with pytest.raises(RuntimeError, match="boom"):
-        sim.run(**run_kwargs)
+        drain(sim)
     assert sim.dispatched == 2
     assert sim.now == 2
     assert log == ["a", "boom"]
     assert sim.pending == 4  # b, append-0, append-1, c
     assert sim.peek() == 2
 
-    assert sim.run(**run_kwargs) == 4
+    assert drain(sim) == 4
     assert log == ["a", "boom", "b", "append-0", "append-1", "c"]
     assert sim.dispatched == 6
     assert sim.pending == 0
     assert sim.peek() is None
 
 
-@pytest.mark.parametrize("run_kwargs", RUN_KWARGS, ids=["fast", "general"])
-def test_raise_on_last_event_of_batch_leaves_no_bucket(run_kwargs):
+@pytest.mark.parametrize("drain", [Simulator.run, _step_drain], ids=["fast", "step"])
+def test_raise_on_last_event_of_batch_leaves_no_bucket(drain):
     sim = Simulator()
     log = []
     sim.schedule(1, log.append, "a")
@@ -119,9 +120,9 @@ def test_raise_on_last_event_of_batch_leaves_no_bucket(run_kwargs):
     sim.schedule(1, boom)
     sim.schedule(4, log.append, "b")
     with pytest.raises(RuntimeError):
-        sim.run(**run_kwargs)
+        drain(sim)
     assert (sim.dispatched, sim.pending, sim.peek()) == (2, 1, 4)
-    sim.run(**run_kwargs)
+    drain(sim)
     assert log == ["a", "b"]
     assert (sim.dispatched, sim.pending, sim.peek()) == (3, 0, None)
 

@@ -13,7 +13,7 @@ def test_dispatch_times_monotone(jobs):
     sim = Simulator()
     times = []
     for when, _ in jobs:
-        sim.schedule_at(when, lambda: times.append(sim.now))
+        sim.schedule(when, lambda: times.append(sim.now))
     sim.run()
     assert times == sorted(times)
 
@@ -32,7 +32,7 @@ def test_fluid_queue_work_conservation(arrivals):
         departures.append((sim.now, service, sim.now + q.latency(service)))
 
     for t, s in arrivals:
-        sim.schedule_at(t, issue, s)
+        sim.schedule(t, issue, s)
     sim.run()
 
     assert q.busy_cycles == sum(s for _, s in arrivals)

@@ -82,7 +82,8 @@ def test_resource_counters():
 
     sim.spawn(holder())
     sim.spawn(waiter())
-    sim.run(until=50)
+    while sim.peek() <= 50:
+        sim.step()
     assert res.in_use == 1
     assert res.queued == 1
     sim.run()
@@ -236,7 +237,7 @@ def test_fluid_queue_matches_event_based_fcfs():
         analytic_departures.append(sim.now + q.latency(service))
 
     for t, s in arrivals:
-        sim.schedule_at(t, issue, s)
+        sim.schedule(t, issue, s)
     sim.run()
 
     # event-based reference
@@ -254,7 +255,7 @@ def test_fluid_queue_matches_event_based_fcfs():
         sim2.spawn(job(service))
 
     for t, s in arrivals:
-        sim2.schedule_at(t, arrive, s)
+        sim2.schedule(t, arrive, s)
     sim2.run()
 
     assert analytic_departures == sorted(event_departures)

@@ -15,7 +15,7 @@ def _waiter(ev):
 
 
 def test_deadlock_circular_wait_names_blocked_processes():
-    sim = Simulator(watchdog=Watchdog(deadlock=True))
+    sim = Simulator(watchdog=Watchdog())
     ev_a = Event(sim, name="a.done")
     ev_b = Event(sim, name="b.done")
 
@@ -37,9 +37,9 @@ def test_deadlock_circular_wait_names_blocked_processes():
 
 
 def test_deadlock_detected_on_general_loop_too():
-    # livelock_events forces the non-hot dispatch loop; the post-drain
-    # deadlock scan must fire there as well.
-    sim = Simulator(watchdog=Watchdog(deadlock=True, livelock_events=1000))
+    # with the livelock cap armed, the post-drain deadlock scan must
+    # fire as well.
+    sim = Simulator(watchdog=Watchdog(livelock_events=1000))
     sim.spawn(_waiter(Event(sim, name="never")), name="stuck")
     with pytest.raises(SimulationStuckError) as exc:
         sim.run()
@@ -54,7 +54,7 @@ def test_no_watchdog_keeps_permissive_drain():
 
 
 def test_daemon_processes_excluded_from_deadlock():
-    sim = Simulator(watchdog=Watchdog(deadlock=True))
+    sim = Simulator(watchdog=Watchdog())
     sim.spawn(_waiter(Event(sim, name="service")), name="poller", daemon=True)
 
     def worker():
@@ -105,4 +105,27 @@ def test_watchdog_off_matches_fastpath_dispatch_counts():
         sim.spawn(worker(), name="w")
         return sim.run(), sim.now
 
-    assert build(None) == build(Watchdog(deadlock=True, livelock_events=10**6))
+    assert build(None) == build(Watchdog(livelock_events=10**6))
+
+
+def test_fault_free_cluster_raises_on_same_cycle_spin(monkeypatch):
+    from repro.core import cluster as cluster_mod
+    from repro.core.config import ClusterConfig
+
+    limit = 50
+    monkeypatch.setattr(cluster_mod, "DEFAULT_LIVELOCK_EVENTS", limit)
+    cluster = cluster_mod.Cluster(ClusterConfig())
+    assert cluster.fault_injector is None
+    sim = cluster.sim
+
+    def spinner():
+        # bounded, so an unguarded drain ends instead of hanging
+        for _ in range(10 * limit):
+            yield sim.timeout(0)
+
+    sim.spawn(spinner(), name="spinner")
+    with pytest.raises(SimulationStuckError) as exc:
+        sim.run()
+    assert "livelock" in str(exc.value)
+    assert exc.value.blocked == ("spinner",)
+    assert sim.now == 0
