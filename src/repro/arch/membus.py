@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.sim.resources import FluidQueue
+from repro.verify.events import EV_BUS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.params import ArchParams
@@ -61,8 +62,8 @@ class MemoryBus:
         self._bpc = arch.membus_bytes_per_cycle
         #: summed background demand currently registered (bytes/cycle)
         self._bg_rate = 0.0
-        #: optional metrics registry (None = disabled, single check per transfer)
-        self.metrics = None
+        #: optional probe (None = disabled, single check per transfer)
+        self.probe = None
 
     # ------------------------------------------------------------------ #
     # discrete transfers
@@ -81,8 +82,10 @@ class MemoryBus:
         if nbytes < 0:
             raise ValueError("negative transfer size")
         service = arb + nbytes / self.bandwidth()
-        if self.metrics is not None:
-            self.meter(kind, nbytes)
+        probe = self.probe
+        if probe is not None:
+            # the queue as it stands before this transfer's reservation
+            probe.record(self.sim.now, EV_BUS, (self.name, kind, nbytes, self.queue._free_at))
         return self.queue.latency(service)
 
     def bandwidth(self) -> float:
@@ -93,14 +96,6 @@ class MemoryBus:
         if bg == 0.0:
             return bpc
         return bpc * max(0.05, 1.0 - min(_RHO_CAP, bg / bpc))
-
-    def meter(self, kind: str, nbytes: int) -> None:
-        """Record one transfer in the metrics registry (before its
-        reservation, so the sampled backlog excludes it)."""
-        metrics = self.metrics
-        metrics.bump(f"{self.name}.{kind}.transfers")
-        metrics.bump(f"{self.name}.{kind}.bytes", nbytes)
-        metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
 
     # ------------------------------------------------------------------ #
     # background (compute-block) load

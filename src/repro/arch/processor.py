@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, Iterator, Optiona
 
 from repro.sim.primitives import Event, Waitable
 from repro.sim.process import _RESUME_ARGS, ProcessCrash
+from repro.verify.events import EV_HANDLER_ENTER, EV_HANDLER_EXIT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.membus import MemoryBus
@@ -121,9 +122,9 @@ class Processor:
         self.name = name or f"cpu{global_id}"
         self.stats = ProcessorStats()
         self.node: Any = None  # back-reference set by the cluster builder
-        #: optional metrics registry (set by the cluster when profiling);
-        #: None keeps the handler path at a single attribute check
-        self.metrics: Any = None
+        #: optional probe (set by the cluster when profiling or
+        #: verifying); None keeps the handler path at one attribute check
+        self.probe: Any = None
 
         #: handler lock: held by the running handler; waiters queue FIFO
         self._handler_held = False
@@ -263,7 +264,7 @@ class HandlerRun:
       fresh slot at the current time, or queues FIFO for it;
     * :meth:`_enter` (the grant slot) opens the handler bracket — busy
       accounting, the ``_active_end`` event the application thread
-      waits on, metrics — and runs ``delivery`` cycles of kernel entry
+      waits on, the probe — and runs ``delivery`` cycles of kernel entry
       before the body;
     * :meth:`_step` drives the body like a process would: it accepts a
       bare ``int`` delay or any :class:`~repro.sim.primitives.Waitable`.
@@ -313,10 +314,9 @@ class HandlerRun:
         sim = cpu.sim
         cpu._active_start = sim.now
         cpu._active_end = Event(sim, name=cpu._irq_end_name)
-        metrics = cpu.metrics
-        if metrics is not None:
-            metrics.begin_busy(cpu._handler_key(), sim.now)
-            metrics.bump(f"{cpu.name}.handlers")  # per-CPU invocation tally
+        probe = cpu.probe
+        if probe is not None:
+            probe.record(sim.now, EV_HANDLER_ENTER, (cpu._handler_key(), cpu.name))
         self._wake = step = self._step
         if self.delivery:
             sim.schedule(self.delivery, step, None)
@@ -331,8 +331,9 @@ class HandlerRun:
         cpu.stats.add("handler", duration)
         cpu._active_start = None
         end_event, cpu._active_end = cpu._active_end, None
-        if cpu.metrics is not None:
-            cpu.metrics.end_busy(cpu._handler_key(), sim.now)
+        probe = cpu.probe
+        if probe is not None:
+            probe.record(sim.now, EV_HANDLER_EXIT, cpu._handler_key())
         end_event.succeed()
         waiters = cpu._handler_waiters
         if waiters:

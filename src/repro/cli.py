@@ -7,7 +7,7 @@ Commands
 ``run APP``
     Simulate one application and print the speedup and time breakdown.
 ``profile APP``
-    Simulate with the metrics registry enabled and print per-resource
+    Simulate with a probe attached and print per-resource
     utilization, the per-barrier-epoch cost breakdown, and the top-N
     protocol hotspots; ``--export FILE`` writes JSONL (or CSV by
     extension) via :mod:`repro.core.reporting`.
@@ -280,7 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profiled run: bottleneck table, per-epoch breakdown, hotspots."""
-    from repro.core import MetricsRegistry
+    from repro.core import Probe
     from repro.core.reporting import write_csv, write_jsonl
 
     err = _check_app(args.app)
@@ -291,8 +291,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     app = get_app(
         args.app, page_size=args.page_size, scale=args.scale, seed=args.seed
     )
-    registry = MetricsRegistry()
-    result = run_simulation(app, config, metrics=registry)
+    result = run_simulation(app, config, probe=Probe())
     print(result.summary())
 
     util = result.utilization()

@@ -1,4 +1,4 @@
-"""Public top-level API: configuration, cluster assembly, runs, metrics.
+"""Public top-level API: configuration, cluster assembly, runs, the probe.
 
 Typical use::
 
@@ -14,13 +14,13 @@ from repro.core.cluster import Cluster, Node
 from repro.core.config import ClusterConfig
 from repro.core.metrics import RunResult, geometric_mean
 from repro.core.run import run_simulation
-from repro.core.stats import MetricsRegistry
+from repro.verify.events import Probe
 
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "MetricsRegistry",
     "Node",
+    "Probe",
     "RunResult",
     "geometric_mean",
     "run_simulation",

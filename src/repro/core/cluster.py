@@ -18,7 +18,6 @@ from typing import List, Optional
 from repro.arch.membus import MemoryBus
 from repro.arch.processor import HandlerRun, Processor
 from repro.core.config import ClusterConfig
-from repro.core.stats import MetricsRegistry
 from repro.net.faults import FaultInjector
 from repro.net.iobus import IOBus
 from repro.net.link import Network
@@ -29,6 +28,7 @@ from repro.osys.vm import PageDirectory
 from repro.protocol import PROTOCOLS
 from repro.protocol.base import ProtocolContext
 from repro.sim.engine import DEFAULT_LIVELOCK_EVENTS, Simulator, Watchdog
+from repro.verify.events import Probe
 
 
 class Node:
@@ -41,7 +41,7 @@ class Node:
         config: ClusterConfig,
         network: Network,
         faults: Optional[FaultInjector] = None,
-        metrics: Optional["MetricsRegistry"] = None,
+        probe: Optional[Probe] = None,
     ) -> None:
         arch, comm = config.arch, config.comm
         self.sim = sim
@@ -95,16 +95,9 @@ class Node:
                 name=f"n{node_id}svc",
             )
             self.service_cpu.node = self
-        if metrics is not None:
-            self.membus.metrics = metrics
-            for iobus in self.iobuses:
-                iobus.metrics = metrics
-            for nic in nics:
-                nic.metrics = metrics
-            for cpu in self.cpus:
-                cpu.metrics = metrics
-            if self.service_cpu is not None:
-                self.service_cpu.metrics = metrics
+        for part in (self.membus, *self.iobuses, *nics, *self.cpus, self.service_cpu):
+            if part is not None:
+                part.probe = probe
 
     # ------------------------------------------------------------------ #
     def dispatch_request(self, body_factory, name: str = "req") -> None:
@@ -150,20 +143,14 @@ class Cluster:
     def __init__(
         self,
         config: ClusterConfig,
-        metrics: Optional["MetricsRegistry"] = None,
-        verify_log: Optional[object] = None,
+        probe: Optional[Probe] = None,
     ) -> None:
         self.config = config
-        #: metrics registry shared by every instrumented component, or
-        #: ``None`` (the default) for a zero-observability-cost run
-        self.metrics = metrics
-        if verify_log is None and config.verify:
-            from repro.verify import VerifyLog  # local import avoids cycle
-
-            verify_log = VerifyLog()
-        #: conformance-oracle event log, or ``None`` (the default) for a
-        #: zero-verification-cost run (see repro.verify)
-        self.verify_log = verify_log
+        if probe is None and config.verify:
+            probe = Probe()
+        #: event log shared by every instrumented component (profiling
+        #: and the conformance oracle), or ``None`` for a plain run
+        self.probe = probe
         #: shared wire-fault source (None when config.faults is all-off)
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(config.faults) if config.faults.enabled else None
@@ -178,7 +165,7 @@ class Cluster:
         self.network = Network(
             self.sim, arch.link_bytes_per_cycle, arch.link_latency_cycles
         )
-        self.network.metrics = metrics
+        self.network.probe = probe
         self.nodes: List[Node] = [
             Node(
                 self.sim,
@@ -186,7 +173,7 @@ class Cluster:
                 config,
                 self.network,
                 faults=self.fault_injector,
-                metrics=metrics,
+                probe=probe,
             )
             for i in range(config.n_nodes)
         ]
@@ -210,8 +197,7 @@ class Cluster:
             nodes=self.nodes,
             procs=self.procs,
             free_page_fetches=config.free_page_fetches,
-            metrics=metrics,
-            verify=verify_log,
+            probe=probe,
             collective=config.collective,
         )
         self.protocol = PROTOCOLS[config.protocol](self.ctx)

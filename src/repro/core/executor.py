@@ -266,7 +266,7 @@ def run_points(
     n_jobs = min(resolve_jobs(jobs), len(misses))
     computed: Dict[int, Union[RunResult, PointFailure]]
     if n_jobs > 1:
-        computed = _map_parallel([(i, unique[i]) for i in misses], n_jobs)
+        computed = _map_parallel([(i, unique[i], keys[i]) for i in misses], n_jobs)
         for i, out in computed.items():
             if isinstance(out, RunResult):
                 # the worker wrote the disk layer; install the result in
@@ -313,10 +313,12 @@ def _ingest_outcomes(
 
 
 def _map_parallel(
-    misses: Sequence[Tuple[int, Point]], workers: int
+    misses: Sequence[Tuple[int, Point, str]], workers: int
 ) -> Dict[int, Union[RunResult, PointFailure]]:
-    """Fan ``(slot, point)`` pairs across a pool of ``workers``
+    """Fan ``(slot, point, key)`` triples across a pool of ``workers``
     processes, one future per point; returns the outcomes by slot.
+    Each worker gets the point's content key with it, so it does not
+    encode and hash the config again.
 
     At most one future per worker is outstanding: the next point, in
     ``misses`` order, is submitted as each one completes.  So nothing
@@ -342,9 +344,9 @@ def _map_parallel(
         running: Dict[Future, Tuple[int, Point]] = {}
 
         def submit_next() -> None:
-            for i, p in queue:
+            for i, p, key in queue:
                 try:
-                    fut = pool.submit(_compute_or_capture, p)
+                    fut = pool.submit(_compute_or_capture, p, key)
                 except Exception as exc:  # noqa: BLE001 - a broken pool
                     outcomes[i] = _capture_failure(p, exc)
                     continue

@@ -50,12 +50,12 @@ class RunResult:
     #: per-resource busy cycles (memory buses, I/O buses, NI cores, links,
     #: CPUs), harvested in one end-of-run walk — always populated
     resource_busy: Dict[str, int] = field(default_factory=dict)
-    #: phase marks from the metrics registry: (time, label, cumulative
+    #: phase marks from a caller's probe: (time, label, cumulative
     #: per-category cycles); empty unless the run was profiled
     phase_marks: List[Tuple[int, str, Dict[str, int]]] = field(default_factory=list)
-    #: metrics-registry event counters (per-message-kind, per-tag, ...)
+    #: profile event counters (per-message-kind, per-tag, ...)
     metrics_counters: Dict[str, int] = field(default_factory=dict)
-    #: metrics-registry cycle accumulators (per-handler-tag hotspots)
+    #: profile cycle accumulators (per-handler-tag hotspots)
     metrics_cycles: Dict[str, int] = field(default_factory=dict)
     #: queue-depth summaries: name -> {mean, max, samples}
     queue_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -126,7 +126,7 @@ class RunResult:
         ``fractions`` is normalized over the epoch's own total (summing
         to 1.0), matching the paper's stacked-bar figures.  Epochs in
         which no cycles were charged are dropped.  Empty unless the run
-        was profiled with a metrics registry.
+        was profiled with a probe.
         """
         phases: List[Dict[str, object]] = []
         prev_time = 0
@@ -152,7 +152,7 @@ class RunResult:
     def hotspots(self, top: int = 10) -> List[Tuple[str, int, int]]:
         """Top-``top`` protocol hotspots as ``(name, cycles, count)``.
 
-        Ranks the metrics registry's cycle accumulators (handler tags,
+        Ranks the profile's cycle accumulators (handler tags,
         diff creation, update drains) by total cycles spent.
         """
         ranked = sorted(self.metrics_cycles.items(), key=lambda kv: (-kv[1], kv[0]))

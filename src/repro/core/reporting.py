@@ -82,7 +82,7 @@ def run_record(result: "RunResult") -> Dict[str, Any]:
 
     Everything needed to rebuild the paper's figures offline: identity,
     speedups, the aggregate and per-phase breakdowns, per-resource
-    utilization, protocol counters and registry metrics.
+    utilization, protocol counters and profile metrics.
     """
     counters = dataclasses.asdict(result.counters)
     extra = counters.pop("extra", {})

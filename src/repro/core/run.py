@@ -24,7 +24,8 @@ from repro.apps.base import (
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig
 from repro.core.metrics import BUSY_CATEGORIES, RunResult
-from repro.core.stats import MetricsRegistry
+from repro.core.stats import reduce_profile
+from repro.verify.events import EV_PHASE, ORACLE_KINDS, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.processor import Processor
@@ -89,8 +90,7 @@ def _harvest_resource_busy(cluster: Cluster) -> dict:
 def run_simulation(
     app: AppTrace,
     config: Optional[ClusterConfig] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    verify_log: Optional[object] = None,
+    probe: Optional[Probe] = None,
 ) -> RunResult:
     """Simulate ``app`` on a cluster built from ``config``.
 
@@ -101,22 +101,22 @@ def run_simulation(
         ``total_procs``).
     config:
         Cluster configuration; defaults to the achievable set.
-    metrics:
-        Optional :class:`~repro.core.stats.MetricsRegistry` for a
-        profiled run: per-message-type counts, queue-depth samples,
-        handler hotspots and per-barrier-epoch phase marks flow into the
-        result.  Collection is passive, so profiling never changes the
-        simulated outcome.  Callers that cache results should leave this
-        ``None`` (the cache key does not cover profiling state).
-    verify_log:
-        Optional :class:`~repro.verify.VerifyLog` to collect protocol
-        conformance events into (tests pass one to inspect the stream).
-        When ``None``, a log is created automatically iff
-        ``config.verify`` is set.  Like profiling, verification is
-        passive: simulated time is bit-identical either way.  After the
-        run the happens-before oracle replays the log; violations land
-        on ``RunResult.violations`` and in ``RunResult.meta`` and a
-        replayable artifact is written under ``results/violations/``.
+    probe:
+        Optional :class:`~repro.verify.events.Probe` for a profiled run:
+        every instrumented component appends its events to it, and
+        :func:`~repro.core.stats.reduce_profile` folds them into the
+        result's per-message-type counts, queue-depth samples, handler
+        hotspots and per-barrier-epoch phase marks.  Recording is
+        passive, so profiling never changes the simulated outcome.
+        Callers that cache results should leave this ``None`` (the
+        cache key does not cover profiling state).
+
+    When ``config.verify`` is set (and no probe is given, one is made),
+    the happens-before oracle replays the probe's protocol events after
+    the run; violations land on ``RunResult.violations`` and in
+    ``RunResult.meta``, and a replayable artifact is written under
+    ``results/violations/``.  Verification is passive too, and a run
+    the caller did not probe carries empty profile fields.
     """
     if config is None:
         config = ClusterConfig()
@@ -125,7 +125,7 @@ def run_simulation(
             f"trace built for {app.n_procs} processors but config has "
             f"{config.total_procs}"
         )
-    cluster = Cluster(config, metrics=metrics, verify_log=verify_log)
+    cluster = Cluster(config, probe=probe)
     for proc_id, events in enumerate(app.events):
         cluster.sim.spawn(
             _worker(cluster, cluster.procs[proc_id], events), name=f"app.p{proc_id}"
@@ -160,39 +160,38 @@ def run_simulation(
         meta["messages_lost"] = float(
             sum(node.nic.messages_dropped for node in cluster.nodes)
         )
-    registry = cluster.metrics
-    phase_marks = []
-    metrics_counters = {}
-    metrics_cycles = {}
-    queue_stats = {}
-    if registry is not None:
+    phase_marks: List = []
+    metrics_counters: dict = {}
+    metrics_cycles: dict = {}
+    queue_stats: dict = {}
+    if probe is not None:
         # close the last epoch so phase deltas cover the whole run
-        registry.phase_mark(total, "run_end", cluster.protocol.ctx.aggregate_time())
-        phase_marks = list(registry.phase_marks)
-        metrics_counters = dict(registry.counters)
-        metrics_cycles = dict(registry.cycles)
-        # fold union busy trackers (e.g. node-level handler occupancy)
-        # into the cycle accumulators for export
-        for name, cycles in registry.busy_cycles().items():
-            metrics_cycles.setdefault(f"busy.{name}", cycles)
-        queue_stats = registry.queue_summary()
+        probe.record(total, EV_PHASE, ("run_end", cluster.ctx.aggregate_time()))
+        metrics_counters, metrics_cycles, queue_stats, phase_marks = reduce_profile(
+            probe.records
+        )
     violations: List = []
-    if cluster.verify_log is not None:
+    if config.verify:
         from repro.verify import check_log
         from repro.verify.artifacts import dump_violation_artifact, replay_command
 
+        assert cluster.probe is not None  # Cluster makes one for a verified run
+        records = [rec for rec in cluster.probe.records if rec.kind in ORACLE_KINDS]
+        if cluster.probe is not probe:
+            # Nothing else reads the probe made for the oracle: free its
+            # records now, not when the cyclic collector reaches the
+            # cluster (that wait cost verified runs time and memory).
+            cluster.probe.records.clear()
         violations = check_log(
-            cluster.verify_log.records,
+            records,
             n_procs=config.total_procs,
             procs_per_node=config.comm.procs_per_node,
             homes=cluster.directory.homes(),
         )
-        meta["verify.events"] = float(len(cluster.verify_log.records))
+        meta["verify.events"] = float(len(records))
         meta["verify.violations"] = float(len(violations))
         if violations:
-            path = dump_violation_artifact(
-                app, config, violations, cluster.verify_log
-            )
+            path = dump_violation_artifact(app, config, violations, records)
             if path is not None:
                 print(
                     f"repro.verify: {len(violations)} violation(s); "

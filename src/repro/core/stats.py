@@ -1,191 +1,165 @@
-"""Resource-occupancy metrics registry.
+"""Profile reduction: a probe's records folded into a run's profile fields.
 
-The observability layer mirrors the paper's measurement methodology:
-every conclusion in Bilas & Singh rests on *attribution* — execution
-time split by category, bottleneck shifts explained by which resource
-(host CPU, NI occupancy, I/O bus, link) saturates as a parameter is
-swept.  This module provides the collection side:
-
-* :class:`Counter`-style event tallies (:meth:`MetricsRegistry.bump`),
-* cycle accumulators for per-tag handler time
-  (:meth:`MetricsRegistry.add_cycles` — the "protocol hotspot" data),
-* :class:`BusyTracker` union-of-intervals busy/idle trackers (nested or
-  simultaneous busy intervals are counted once),
-* queue-depth samples (:meth:`MetricsRegistry.sample_queue`),
-* phase marks — cumulative time-breakdown snapshots taken at barrier
-  episodes, from which :meth:`repro.core.metrics.RunResult.phase_breakdown`
-  derives the paper's per-epoch stacked-bar figures.
-
-Cost discipline
----------------
-Instrumented components hold a ``metrics`` attribute that is ``None`` by
-default, so the disabled path is a single attribute check (usually hoisted
-out of loops entirely).  Per-resource *busy cycles* are not collected here
-at all — the :class:`~repro.sim.resources.FluidQueue` servers already
-track them unconditionally, and :func:`repro.core.run.run_simulation`
-harvests them in one end-of-run walk, which costs the DES hot loop
-nothing.
-
-A registry is *passive*: it never schedules events and never perturbs
-simulated time, so enabling metrics cannot change simulation results.
+Every conclusion in Bilas & Singh rests on *attribution*: execution time
+split by category, bottleneck shifts explained by which resource (host
+CPU, NI occupancy, I/O bus, link) saturates as a parameter is swept.
+The instrumented components append timestamped events to one
+:class:`~repro.verify.events.Probe`; :func:`reduce_profile` derives the
+event tallies, the hotspot cycle accumulators, the node-level handler
+busy unions, the queue-depth statistics and the barrier phase marks of a
+profiled run from them in one pass (``docs/observability.md`` lists the
+names).  Per-resource busy cycles are not derived here: the
+:class:`~repro.sim.resources.FluidQueue` servers count them on every run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
-
-class BusyTracker:
-    """Union-of-intervals busy-time bookkeeping.
-
-    ``begin``/``end`` calls may nest (one handler interrupting another on
-    the same resource) or coincide at the same timestamp (simultaneous
-    events); overlapping busy intervals are counted **once**:
-
-    >>> bt = BusyTracker()
-    >>> bt.begin(10); bt.begin(10); bt.end(20); bt.end(30)
-    >>> bt.busy_cycles
-    20
-    """
-
-    __slots__ = ("busy_cycles", "intervals", "_depth", "_start")
-
-    def __init__(self) -> None:
-        self.busy_cycles: int = 0
-        self.intervals: int = 0
-        self._depth: int = 0
-        self._start: int = 0
-
-    @property
-    def active(self) -> bool:
-        return self._depth > 0
-
-    def begin(self, now: int) -> None:
-        if self._depth == 0:
-            self._start = now
-        self._depth += 1
-
-    def end(self, now: int) -> None:
-        if self._depth <= 0:
-            raise RuntimeError("BusyTracker.end() without matching begin()")
-        self._depth -= 1
-        if self._depth == 0:
-            if now < self._start:
-                raise ValueError(f"interval ends at {now} before start {self._start}")
-            self.busy_cycles += now - self._start
-            self.intervals += 1
-
-    def busy_as_of(self, now: int) -> int:
-        """Busy cycles including any still-open interval up to ``now``."""
-        busy = self.busy_cycles
-        if self._depth > 0:
-            busy += now - self._start
-        return busy
-
-
-class QueueDepthStat:
-    """Running max/mean of a sampled queue depth."""
-
-    __slots__ = ("samples", "total", "max")
-
-    def __init__(self) -> None:
-        self.samples: int = 0
-        self.total: float = 0.0
-        self.max: float = 0.0
-
-    def sample(self, depth: float) -> None:
-        self.samples += 1
-        self.total += depth
-        if depth > self.max:
-            self.max = depth
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.samples if self.samples else 0.0
-
+from repro.verify.events import (
+    EV_BUS,
+    EV_DIFF_CREATE,
+    EV_DMA,
+    EV_HANDLER_ENTER,
+    EV_HANDLER_EXIT,
+    EV_HANDLER_TAG,
+    EV_LINK,
+    EV_NI_RECV,
+    EV_NI_SEND,
+    EV_NI_SENT,
+    EV_PHASE,
+    EV_UPDATE_DRAIN,
+    TraceRecord,
+)
 
 #: one phase mark: (simulated time, label, cumulative per-category cycles)
 PhaseMark = Tuple[int, str, Dict[str, int]]
 
 
-class MetricsRegistry:
-    """Collects counters, cycle accumulators, busy trackers and phase marks.
+def reduce_profile(
+    records: Iterable[TraceRecord],
+) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, Dict[str, float]], List[PhaseMark]]:
+    """Fold ``records`` into ``(counters, cycles, queue_stats, phase_marks)``.
 
-    Components report into the registry only when one is installed (their
-    ``metrics`` attribute is non-``None``); ``None`` is the off state.
+    Records of other kinds (the oracle's) are skipped.  Each dict lists
+    its keys in the order the run first touched them, and handler busy
+    intervals still open at the end of the records are not counted.
+
+    >>> from repro.verify.events import Probe
+    >>> p = Probe()
+    >>> p.record(10, EV_HANDLER_ENTER, ("n0.handler", "n0c0"))
+    >>> p.record(12, EV_HANDLER_ENTER, ("n0.handler", "n0c1"))
+    >>> p.record(20, EV_HANDLER_EXIT, "n0.handler")
+    >>> p.record(30, EV_HANDLER_EXIT, "n0.handler")
+    >>> counters, cycles, _, _ = reduce_profile(p.records)
+    >>> counters, cycles
+    ({'n0c0.handlers': 1, 'n0c1.handlers': 1}, {'busy.n0.handler': 20})
     """
+    counters: Dict[str, int] = {}
+    cycles: Dict[str, int] = {}
+    #: queue name -> [samples, total, max]
+    queues: Dict[str, List[Any]] = {}
+    #: busy key -> [open brackets, interval start, busy cycles]
+    busy: Dict[str, List[int]] = {}
+    marks: List[PhaseMark] = []
 
-    __slots__ = ("counters", "cycles", "busy", "queue_depths", "phase_marks")
+    def bump(name: str, n: int = 1) -> None:
+        counters[name] = counters.get(name, 0) + n
 
-    def __init__(self) -> None:
-        self.counters: Dict[str, int] = {}
-        self.cycles: Dict[str, int] = {}
-        self.busy: Dict[str, BusyTracker] = {}
-        self.queue_depths: Dict[str, QueueDepthStat] = {}
-        self.phase_marks: List[PhaseMark] = []
+    def add_cycles(name: str, n: int) -> None:
+        cycles[name] = cycles.get(name, 0) + int(n)
 
-    # ------------------------------------------------------------------ #
-    # event counters and cycle accumulators
-    # ------------------------------------------------------------------ #
-    def bump(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def add_cycles(self, name: str, cycles: int) -> None:
-        self.cycles[name] = self.cycles.get(name, 0) + int(cycles)
-
-    # ------------------------------------------------------------------ #
-    # busy intervals
-    # ------------------------------------------------------------------ #
-    def busy_tracker(self, name: str) -> BusyTracker:
-        tracker = self.busy.get(name)
-        if tracker is None:
-            tracker = self.busy[name] = BusyTracker()
-        return tracker
-
-    def begin_busy(self, name: str, now: int) -> None:
-        self.busy_tracker(name).begin(now)
-
-    def end_busy(self, name: str, now: int) -> None:
-        self.busy_tracker(name).end(now)
-
-    # ------------------------------------------------------------------ #
-    # queue depths
-    # ------------------------------------------------------------------ #
-    def sample_queue(self, name: str, depth: float) -> None:
-        stat = self.queue_depths.get(name)
+    def sample(name: str, depth: float) -> None:
+        stat = queues.get(name)
         if stat is None:
-            stat = self.queue_depths[name] = QueueDepthStat()
-        stat.sample(depth)
+            stat = queues[name] = [0, 0.0, 0.0]
+        stat[0] += 1
+        stat[1] += depth
+        if depth > stat[2]:
+            stat[2] = depth
 
-    # ------------------------------------------------------------------ #
-    # phase (barrier-epoch) segmentation
-    # ------------------------------------------------------------------ #
-    def phase_mark(self, now: int, label: str, cumulative: Dict[str, int]) -> None:
-        """Record a phase boundary at ``now``.
+    # a queue's backlog at ``now`` is the cycles until it drains
+    # (FluidQueue.backlog), from the free-at time the record carries
+    def bus(now: int, name: str, cls: str, nbytes: int, free_at: int) -> None:
+        bump(f"{name}.{cls}.transfers")
+        bump(f"{name}.{cls}.bytes", nbytes)
+        sample(f"{name}.backlog", max(0, free_at - now))
 
-        ``cumulative`` is the cluster-wide per-category cycle breakdown
-        *so far* (a snapshot, not a delta); consumers difference adjacent
-        marks to recover per-phase costs.
-        """
-        self.phase_marks.append((int(now), label, dict(cumulative)))
+    def dma(now: int, name: str, nbytes: int, free_at: int) -> None:
+        bump(f"{name}.dmas")
+        bump(f"{name}.dma_bytes", nbytes)
+        sample(f"{name}.backlog", max(0, free_at - now))
 
-    # ------------------------------------------------------------------ #
-    # export
-    # ------------------------------------------------------------------ #
-    def busy_cycles(self, as_of: Optional[int] = None) -> Dict[str, int]:
-        """Per-tracker busy cycles (closing open intervals at ``as_of``)."""
-        if as_of is None:
-            return {name: bt.busy_cycles for name, bt in self.busy.items()}
-        return {name: bt.busy_as_of(as_of) for name, bt in self.busy.items()}
+    for now, kind, detail in records:
+        if kind == EV_BUS:
+            bus(now, *detail)
+        elif kind == EV_NI_SEND:
+            wire, membus, f0, iobus, f1, rx_iobus, f2, rx_membus, f3 = detail
+            bus(now, membus, "ni_out", wire, f0)
+            if wire:  # an empty DMA skips the I/O buses
+                dma(now, iobus, wire, f1)
+                dma(now, rx_iobus, wire, f2)
+            bus(now, rx_membus, "ni_in", wire, f3)
+        elif kind == EV_DMA:
+            dma(now, *detail)
+        elif kind == EV_NI_SENT:
+            node, msg_kind, wire, iobus, backlog_bytes = detail
+            name = msg_kind.name.lower()
+            bump(f"ni{node}.sent.{name}")
+            bump(f"ni{node}.sent_bytes.{name}", wire)
+            sample(f"{iobus}.tx_backlog_bytes", backlog_bytes)
+        elif kind == EV_NI_RECV:
+            node, msg_kind, free_at = detail
+            bump(f"ni{node}.recv.{msg_kind.name.lower()}")
+            sample(f"ni{node}.rx_gate.backlog", max(0, free_at - now))
+        elif kind == EV_LINK:
+            msg_kind, wire = detail
+            name = msg_kind.name.lower()
+            bump(f"link.msgs.{name}")
+            bump(f"link.bytes.{name}", wire)
+        elif kind == EV_HANDLER_ENTER:
+            key, cpu_name = detail
+            tracker = busy.get(key)
+            if tracker is None:
+                tracker = busy[key] = [0, 0, 0]
+            if tracker[0] == 0:
+                tracker[1] = now
+            tracker[0] += 1
+            bump(f"{cpu_name}.handlers")
+        elif kind == EV_HANDLER_EXIT:
+            tracker = busy.setdefault(detail, [0, 0, 0])
+            if tracker[0] <= 0:
+                raise RuntimeError(f"handler exit on {detail!r} without an entry")
+            tracker[0] -= 1
+            if tracker[0] == 0:
+                if now < tracker[1]:
+                    raise ValueError(
+                        f"interval ends at {now} before start {tracker[1]}"
+                    )
+                tracker[2] += now - tracker[1]
+        elif kind == EV_HANDLER_TAG:
+            tag, n = detail
+            bump(f"handler.{tag}.count")
+            add_cycles(f"handler.{tag}", n)
+        elif kind == EV_DIFF_CREATE:
+            diffs, n = detail
+            bump("protocol.diff_create.count", diffs)
+            add_cycles("protocol.diff_create", n)
+        elif kind == EV_UPDATE_DRAIN:
+            bump("protocol.update_drain.count")
+            add_cycles("protocol.update_drain", detail)
+        elif kind == EV_PHASE:
+            label, cumulative = detail
+            marks.append((int(now), label, dict(cumulative)))
 
-    def queue_summary(self) -> Dict[str, Dict[str, float]]:
-        return {
-            name: {"mean": stat.mean, "max": stat.max, "samples": float(stat.samples)}
-            for name, stat in self.queue_depths.items()
+    for key, tracker in busy.items():
+        cycles.setdefault(f"busy.{key}", tracker[2])
+    queue_stats = {
+        name: {
+            "mean": total / samples,
+            "max": peak,
+            "samples": float(samples),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MetricsRegistry(counters={len(self.counters)}, busy={len(self.busy)}, "
-            f"phases={len(self.phase_marks)})"
-        )
+        for name, (samples, total, peak) in queues.items()
+    }
+    return counters, cycles, queue_stats, marks

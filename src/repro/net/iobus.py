@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.sim.resources import FluidQueue
+from repro.verify.events import EV_DMA
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -31,8 +32,8 @@ class IOBus:
         self.name = name
         self.bytes_per_cycle = bytes_per_cycle
         self.queue = FluidQueue(sim, name, bytes_per_cycle=bytes_per_cycle)
-        #: optional metrics registry (None = disabled, single check per DMA)
-        self.metrics = None
+        #: optional probe (None = disabled, single check per DMA)
+        self.probe = None
 
     def dma_latency(self, nbytes: int) -> int:
         """Enqueue a DMA of ``nbytes``; return its total latency in cycles."""
@@ -40,25 +41,16 @@ class IOBus:
             raise ValueError("negative DMA size")
         if nbytes == 0:
             return 0
-        if self.metrics is not None:
-            self.meter(nbytes)
+        probe = self.probe
+        if probe is not None:
+            # the queue as it stands before this DMA's reservation
+            probe.record(self.sim.now, EV_DMA, (self.name, nbytes, self.queue._free_at))
         return self.queue.transfer(nbytes)
-
-    def meter(self, nbytes: int) -> None:
-        """Record one DMA in the metrics registry (before its
-        reservation, so the sampled backlog excludes it)."""
-        metrics = self.metrics
-        metrics.bump(f"{self.name}.dmas")
-        metrics.bump(f"{self.name}.dma_bytes", nbytes)
-        metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
 
     @property
     def backlog_bytes(self) -> float:
         """Bytes of DMA work currently queued (drives NI back-pressure)."""
         return self.queue.backlog * self.bytes_per_cycle
-
-    def utilization(self) -> float:
-        return self.queue.utilization()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IOBus({self.name!r}, {self.bytes_per_cycle} B/cyc)"

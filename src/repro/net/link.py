@@ -17,6 +17,8 @@ import math
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Dict
 
+from repro.verify.events import EV_LINK
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.message import Message
     from repro.sim.engine import Simulator
@@ -55,8 +57,8 @@ class Network:
         self._endpoints: Dict[int, object] = {}
         self.messages_carried = 0
         self.bytes_carried = 0
-        #: optional metrics registry (None = disabled, single check per message)
-        self.metrics = None
+        #: optional probe (None = disabled, single check per message)
+        self.probe = None
 
     def attach(self, node_id: int, on_arrival: Callable[["Message", int], None]) -> None:
         """Register the receive hook for a node's NI."""
@@ -86,12 +88,10 @@ class Network:
         # Simulator.schedule written out: one call per message
         self.messages_carried += 1
         self.bytes_carried += wire_bytes
-        metrics = self.metrics
-        if metrics is not None:
-            kind = msg.kind.name.lower()
-            metrics.bump(f"link.msgs.{kind}")
-            metrics.bump(f"link.bytes.{kind}", wire_bytes)
         sim = self.sim
+        probe = self.probe
+        if probe is not None:
+            probe.record(sim.now, EV_LINK, (msg.kind, wire_bytes))
         when = sim.now + self._latency
         bucket = sim._buckets.get(when)
         if bucket is None:

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 from repro.net.message import Message, MessageKind
 from repro.sim.primitives import Event
 from repro.sim.resources import FluidQueue, Store
+from repro.verify.events import EV_NI_RECV, EV_NI_SEND, EV_NI_SENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.membus import MemoryBus
@@ -100,8 +101,8 @@ class NetworkInterface:
         self.overflow_interrupts = 0
         self.messages_dropped = 0
         self.duplicates_suppressed = 0
-        #: optional metrics registry (None = disabled, single check per message)
-        self.metrics = None
+        #: optional probe (None = disabled, single check per message)
+        self.probe = None
 
         if register:
             network.attach(node_id, self._on_arrival)
@@ -202,10 +203,18 @@ class NetworkInterface:
             # degraded link: serialization runs at a fraction of nominal
             link_bpc *= self.faults.link_factor(self.node_id, msg.dst_node)
 
+        probe = self.probe
+        if probe is not None:
+            # The four buses are distinct (a message never stays on its
+            # node), so each queue read here, before any reservation, is
+            # the one its stage sees.
+            bus, rx_iobus, rx_bus = self.membus, peer.iobus, peer.membus
+            probe.record(now, EV_NI_SEND, (
+                wire, bus.name, bus.queue._free_at, iobus.name, iobus.queue._free_at,
+                rx_iobus.name, rx_iobus.queue._free_at, rx_bus.name, rx_bus.queue._free_at,
+            ))
         # sender memory bus
         bus = self.membus
-        if bus.metrics is not None:
-            bus.meter("ni_out", wire)
         bpc = bus.bandwidth() if bus._bg_rate else bus._bpc
         service = int(-(-(bus._arb["ni_out"] + wire / bpc) // 1))
         q = bus.queue
@@ -217,8 +226,6 @@ class NetworkInterface:
         # around the link
         stage = 0
         if wire:
-            if iobus.metrics is not None:
-                iobus.meter(wire)
             q = iobus.queue
             service = int(-(-(wire / iobus.bytes_per_cycle) // 1))
             start = q._free_at if q._free_at > now else now
@@ -235,8 +242,6 @@ class NetworkInterface:
         stage = 0
         if wire:
             rx_iobus = peer.iobus
-            if rx_iobus.metrics is not None:
-                rx_iobus.meter(wire)
             q = rx_iobus.queue
             service = int(-(-(wire / rx_iobus.bytes_per_cycle) // 1))
             start = q._free_at if q._free_at > now else now
@@ -248,8 +253,6 @@ class NetworkInterface:
             slowest = stage
         # receiver memory bus
         bus = peer.membus
-        if bus.metrics is not None:
-            bus.meter("ni_in", wire)
         bpc = bus.bandwidth() if bus._bg_rate else bus._bpc
         service = int(-(-(bus._arb["ni_in"] + wire / bpc) // 1))
         q = bus.queue
@@ -289,12 +292,11 @@ class NetworkInterface:
         self.messages_sent += 1
         self.packets_sent += packets
         self.wire_bytes_sent += wire
-        metrics = self.metrics
-        if metrics is not None:
-            kind = msg.kind.name.lower()
-            metrics.bump(f"ni{self.node_id}.sent.{kind}")
-            metrics.bump(f"ni{self.node_id}.sent_bytes.{kind}", wire)
-            metrics.sample_queue(f"{self.iobus.name}.tx_backlog_bytes", self.iobus.backlog_bytes)
+        probe = self.probe
+        if probe is not None:
+            iobus = self.iobus
+            detail = (self.node_id, msg.kind, wire, iobus.name, iobus.backlog_bytes)
+            probe.record(self.sim.now, EV_NI_SENT, detail)
         faults = self.faults
         if faults is None:
             self.network.deliver(msg, wire)
@@ -355,12 +357,9 @@ class NetworkInterface:
                 return
             self._delivered.add(key)
         self.messages_received += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.bump(f"ni{self.node_id}.recv.{msg.kind.name.lower()}")
-            metrics.sample_queue(
-                f"ni{self.node_id}.rx_gate.backlog", self.rx_gate.backlog
-            )
+        probe = self.probe
+        if probe is not None:
+            probe.record(self.sim.now, EV_NI_RECV, (self.node_id, msg.kind, self.rx_gate._free_at))
         if msg.on_deposit is not None:
             msg.on_deposit.succeed(msg)
         if msg.kind is MessageKind.REQUEST:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List
 
 from repro.protocol.hlrc import HLRCProtocol
 from repro.sim.primitives import AllOf, Event
-from repro.verify.events import EV_INTERVAL, EV_WRITE
+from repro.verify.events import EV_INTERVAL, EV_UPDATE_DRAIN, EV_WRITE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.processor import Processor
@@ -59,8 +59,8 @@ class AURCProtocol(HLRCProtocol):
         d = self.dirty[cpu.global_id]
         cur = d.get(page, 0) + words
         d[page] = cur if cur < pw else pw
-        if ctx.verify is not None:
-            ctx.verify.record(
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now, EV_WRITE, (cpu.global_id, node_id, page, home, words)
             )
         return True
@@ -75,8 +75,8 @@ class AURCProtocol(HLRCProtocol):
         words = min(words, self._page_words)
         d = self.dirty[cpu.global_id]
         d[page] = min(self._page_words, d.get(page, 0) + words)
-        if ctx.verify is not None:
-            ctx.verify.record(
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now, EV_WRITE, (cpu.global_id, node_id, page, home, words)
             )
         if home == node_id:
@@ -107,22 +107,18 @@ class AURCProtocol(HLRCProtocol):
         pending = [e for e in self._outstanding[proc] if not e.triggered]
         self._outstanding[proc] = []
         if pending:
-            metrics = ctx.metrics
-            if metrics is None:
-                yield from cpu.wait_for(AllOf(ctx.sim, pending), category)
-            else:
-                t0 = ctx.sim.now
-                yield from cpu.wait_for(AllOf(ctx.sim, pending), category)
-                metrics.bump("protocol.update_drain.count")
-                metrics.add_cycles("protocol.update_drain", ctx.sim.now - t0)
+            t0 = ctx.sim.now
+            yield from cpu.wait_for(AllOf(ctx.sim, pending), category)
+            if ctx.probe is not None:
+                ctx.probe.record(ctx.sim.now, EV_UPDATE_DRAIN, ctx.sim.now - t0)
         d = self.dirty[proc]
         if not d:
             return
         pages = tuple(d)
         self.vc[proc].increment(proc)
         self.log.append(proc, pages)
-        if ctx.verify is not None:
-            ctx.verify.record(
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now,
                 EV_INTERVAL,
                 (proc, self.vc[proc][proc], pages, self.vc[proc].snapshot()),

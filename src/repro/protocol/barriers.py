@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 from repro.protocol.base import ProtocolContext, ProtocolCounters
 from repro.protocol.collectives import make_collective
 from repro.sim.primitives import Event
-from repro.verify.events import EV_BARRIER_ARRIVE, EV_BARRIER_RELEASE
+from repro.verify.events import EV_BARRIER_ARRIVE, EV_BARRIER_RELEASE, EV_PHASE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.processor import Processor
@@ -101,12 +101,12 @@ class BarrierManager:
         snapshot lets consumers difference adjacent marks into per-epoch
         costs.
         """
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            metrics.phase_mark(
+        probe = self.ctx.probe
+        if probe is not None:
+            probe.record(
                 self.ctx.sim.now,
-                f"barrier.{barrier_id}.{visit}",
-                self.ctx.aggregate_time(),
+                EV_PHASE,
+                (f"barrier.{barrier_id}.{visit}", self.ctx.aggregate_time()),
             )
 
     def _complete(self, ep: _Episode, barrier_id: int, visit: int) -> None:
@@ -134,9 +134,9 @@ class BarrierManager:
         ep, visit = self._episode_for(cpu, barrier_id)
         self.counters.bump("barriers")
         cpu.stats.count("barriers")
-        vlog = ctx.verify
-        if vlog is not None:
-            vlog.record(
+        probe = ctx.probe
+        if probe is not None:
+            probe.record(
                 ctx.sim.now,
                 EV_BARRIER_ARRIVE,
                 (cpu.global_id, node_id, barrier_id, visit, self.collective.name),
@@ -159,8 +159,8 @@ class BarrierManager:
                 cpu, node_id, ep, barrier_id, visit
             )
 
-        if vlog is not None:
-            vlog.record(
+        if probe is not None:
+            probe.record(
                 ctx.sim.now,
                 EV_BARRIER_RELEASE,
                 (cpu.global_id, node_id, barrier_id, visit, self.collective.name),

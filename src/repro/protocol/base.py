@@ -57,12 +57,9 @@ class ProtocolContext:
     procs: List["Processor"]
     #: diagnostic: remote page fetches are free (Section 7 attribution)
     free_page_fetches: bool = False
-    #: optional metrics registry (profiling runs only; ``None`` keeps the
-    #: protocol hot paths at a single attribute check)
-    metrics: Optional[Any] = None
-    #: optional conformance-oracle event log (``repro.verify``; ``None``
-    #: keeps the protocol hot paths at a single attribute check)
-    verify: Optional[Any] = None
+    #: optional :class:`~repro.verify.events.Probe` (profiled or verified
+    #: runs; ``None`` keeps the protocol hot paths at one attribute check)
+    probe: Optional[Any] = None
     #: inter-node barrier collective topology ("flat" | "tree" |
     #: "dissemination"); see :mod:`repro.protocol.collectives`
     collective: str = "flat"

@@ -59,8 +59,10 @@ from repro.verify.events import (
     EV_APPLY,
     EV_BARRIER,
     EV_DIFF_APPLY,
+    EV_DIFF_CREATE,
     EV_DIFF_SEND,
     EV_FETCH,
+    EV_HANDLER_TAG,
     EV_INTERVAL,
     EV_READ,
     EV_RELEASE,
@@ -143,18 +145,18 @@ class HLRCProtocol:
         handler = self._handlers.get(msg.tag)
         if handler is None:
             raise RuntimeError(f"unknown request tag {msg.tag!r}")
-        if self.ctx.metrics is None:
+        probe = self.ctx.probe
+        if probe is None:
             return handler(cpu, msg)
-        return self._dispatch_metered(handler, cpu, msg)
+        return self._dispatch_probed(probe, handler, cpu, msg)
 
-    def _dispatch_metered(self, handler, cpu: "Processor", msg: "Message"):
+    def _dispatch_probed(self, probe, handler, cpu: "Processor", msg: "Message"):
         # Hotspot accounting: cycles and invocations per handler tag
         # (the profile CLI's "top-N protocol hotspots" table).
-        metrics = self.ctx.metrics
-        t0 = self.ctx.sim.now
+        sim = self.ctx.sim
+        t0 = sim.now
         yield from handler(cpu, msg)
-        metrics.bump(f"handler.{msg.tag}.count")
-        metrics.add_cycles(f"handler.{msg.tag}", self.ctx.sim.now - t0)
+        probe.record(sim.now, EV_HANDLER_TAG, (msg.tag, sim.now - t0))
 
     # ------------------------------------------------------------------ #
     # trace operations (run in the application process)
@@ -166,12 +168,6 @@ class HLRCProtocol:
         executor can make without spinning up a generator.
         """
         self.ctx.directory.home(page, self.ctx.node_id_of_cpu(cpu))
-
-    def first_touch(self, cpu: "Processor", page: int):
-        """Generator form of :meth:`first_touch_now` (API uniformity)."""
-        self.first_touch_now(cpu, page)
-        return
-        yield  # pragma: no cover — generator marker for API uniformity
 
     def read_immediate(self, cpu: "Processor", page: int) -> bool:
         """Complete a read that needs no simulated time; ``True`` if done.
@@ -192,17 +188,17 @@ class HLRCProtocol:
         if home == node_id:
             return True  # the home copy is always valid at the home
         mem = self.mem[node_id]
-        vlog = ctx.verify
+        probe = ctx.probe
         if page in mem.valid:
-            if vlog is not None:
-                vlog.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
+            if probe is not None:
+                probe.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
             return True
         if ctx.free_page_fetches:
             # Section 7 attribution mode: faults appear local and free.
             mem.valid.add(page)
-            if vlog is not None:
-                vlog.record(ctx.sim.now, EV_FETCH, (cpu.global_id, node_id, page, home))
-                vlog.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
+            if probe is not None:
+                probe.record(ctx.sim.now, EV_FETCH, (cpu.global_id, node_id, page, home))
+                probe.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
             return True
         return False
 
@@ -222,7 +218,7 @@ class HLRCProtocol:
         if home is None:
             home = ctx.directory.home(page, node_id)
         mem = self.mem[node_id]
-        vlog = ctx.verify
+        probe = ctx.probe
         # --- page fault ---
         self.counters.page_faults += 1
         cpu_counters = cpu.stats.counters  # ProcessorStats.count, inline
@@ -234,11 +230,11 @@ class HLRCProtocol:
         if inflight is not None:
             # another processor of this node already fetches it
             yield from cpu.wait_for(inflight, "data_wait")
-            if vlog is not None:
+            if probe is not None:
                 # The waiter shares the fetched copy: record fetch+read so
                 # the oracle's copy tracking matches what it observed.
-                vlog.record(ctx.sim.now, EV_FETCH, (cpu.global_id, node_id, page, home))
-                vlog.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
+                probe.record(ctx.sim.now, EV_FETCH, (cpu.global_id, node_id, page, home))
+                probe.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
             return
         ev = Event(ctx.sim, name=f"fetch.p{page}")
         mem.fetches[page] = ev
@@ -270,9 +266,9 @@ class HLRCProtocol:
             )
         mem.valid.add(page)
         del mem.fetches[page]
-        if vlog is not None:
-            vlog.record(ctx.sim.now, EV_FETCH, (cpu.global_id, node_id, page, home))
-            vlog.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
+        if probe is not None:
+            probe.record(ctx.sim.now, EV_FETCH, (cpu.global_id, node_id, page, home))
+            probe.record(ctx.sim.now, EV_READ, (cpu.global_id, node_id, page, home))
         ev.succeed()
 
     def write_immediate(self, cpu: "Processor", page: int, words: int = 1, runs: int = 1) -> bool:
@@ -298,8 +294,8 @@ class HLRCProtocol:
         d = self.dirty[cpu.global_id]
         cur = d.get(page, 0) + words
         d[page] = cur if cur < pw else pw
-        if ctx.verify is not None:
-            ctx.verify.record(
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now, EV_WRITE, (cpu.global_id, node_id, page, home, words)
             )
         return True
@@ -317,21 +313,21 @@ class HLRCProtocol:
             mem = self.mem[node_id]
             if page not in mem.twins:
                 mem.twins.add(page)
-                if ctx.verify is not None:
-                    ctx.verify.record(ctx.sim.now, EV_TWIN, (node_id, page))
+                if ctx.probe is not None:
+                    ctx.probe.record(ctx.sim.now, EV_TWIN, (node_id, page))
                 yield from cpu.busy(twin_cost(ctx.arch, ctx.comm.page_size), "protocol")
         d = self.dirty[cpu.global_id]
         d[page] = min(self._page_words, d.get(page, 0) + words)
-        if ctx.verify is not None:
-            ctx.verify.record(
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now, EV_WRITE, (cpu.global_id, node_id, page, home, words)
             )
 
     def acquire(self, cpu: "Processor", lock_id: int):
         snap = yield from self.locks.acquire(cpu, lock_id)
         ctx = self.ctx
-        if ctx.verify is not None:
-            ctx.verify.record(
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now,
                 EV_ACQUIRE,
                 (
@@ -347,16 +343,16 @@ class HLRCProtocol:
         yield from self.flush(cpu, category="lock_wait")
         snap = self.vc[cpu.global_id].snapshot()
         ctx = self.ctx
-        if ctx.verify is not None:
-            ctx.verify.record(ctx.sim.now, EV_RELEASE, (cpu.global_id, lock_id, snap))
+        if ctx.probe is not None:
+            ctx.probe.record(ctx.sim.now, EV_RELEASE, (cpu.global_id, lock_id, snap))
         yield from self.locks.release(cpu, lock_id, snap)
 
     def barrier(self, cpu: "Processor", barrier_id: int):
         yield from self.flush(cpu, category="barrier_wait")
         merged = yield from self.barriers.barrier(cpu, barrier_id)
         ctx = self.ctx
-        if ctx.verify is not None:
-            ctx.verify.record(
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now,
                 EV_BARRIER,
                 (
@@ -386,23 +382,21 @@ class HLRCProtocol:
             home = ctx.directory.home(page, node_id)
             if home != node_id:
                 by_home.setdefault(home, []).append((page, words))
-        metrics = ctx.metrics
-        vlog = ctx.verify
+        probe = ctx.probe
         for home, entries in sorted(by_home.items()):
             create = sum(
                 diff_create_cost(ctx.arch, ctx.comm.page_size, w) for _, w in entries
             )
-            if metrics is not None:
-                metrics.bump("protocol.diff_create.count", len(entries))
-                metrics.add_cycles("protocol.diff_create", create)
+            if probe is not None:
+                probe.record(ctx.sim.now, EV_DIFF_CREATE, (len(entries), create))
             yield from cpu.busy(create, "protocol")
             total_words = sum(w for _, w in entries)
             self.counters.bump("diffs_created", len(entries))
             self.counters.bump("diff_words", total_words)
             cpu.stats.count("diffs_created", len(entries))
             size = sum(diff_wire_bytes(ctx.arch, w) for _, w in entries)
-            if vlog is not None:
-                vlog.record(
+            if probe is not None:
+                probe.record(
                     ctx.sim.now,
                     EV_DIFF_SEND,
                     (proc, node_id, home, tuple((p, w) for p, w in entries)),
@@ -419,8 +413,8 @@ class HLRCProtocol:
         # open a new interval carrying this flush's write notices
         self.vc[proc].increment(proc)
         self.log.append(proc, pages)
-        if vlog is not None:
-            vlog.record(
+        if probe is not None:
+            probe.record(
                 ctx.sim.now,
                 EV_INTERVAL,
                 (proc, self.vc[proc][proc], pages, self.vc[proc].snapshot()),
@@ -428,8 +422,8 @@ class HLRCProtocol:
         self.counters.bump("write_notices", len(pages))
         mem = self.mem[node_id]
         for page in pages:
-            if vlog is not None and page in mem.twins:
-                vlog.record(ctx.sim.now, EV_TWIN_DROP, (node_id, page))
+            if probe is not None and page in mem.twins:
+                probe.record(ctx.sim.now, EV_TWIN_DROP, (node_id, page))
             mem.twins.discard(page)
         d.clear()
 
@@ -452,9 +446,9 @@ class HLRCProtocol:
             self.mem[node_id].invalidate(to_invalidate)
         # Record at the instant invalidations take effect (before the busy
         # time is charged) so a node-mate's concurrent refetch cannot be
-        # reordered ahead of the invalidation in the verify stream.
-        if ctx.verify is not None:
-            ctx.verify.record(
+        # reordered ahead of the invalidation in the recorded stream.
+        if ctx.probe is not None:
+            ctx.probe.record(
                 ctx.sim.now,
                 EV_APPLY,
                 (proc, node_id, tuple(snapshot), mine.snapshot(), tuple(to_invalidate)),
@@ -479,14 +473,14 @@ class HLRCProtocol:
         entries = msg.payload
         apply_cost = sum(diff_apply_cost(ctx.arch, w) for _, w in entries)
         yield ctx.arch.handler_base_cycles + apply_cost
-        if ctx.verify is not None:
+        if ctx.probe is not None:
             self._emit_diff_apply(cpu, msg)
         yield from ctx.msg.send_reply(cpu, msg, ACK_BYTES)
 
     def _emit_diff_apply(self, cpu: "Processor", msg: "Message") -> None:
-        """Record a diff landing on the home copy (verify runs only)."""
+        """Record a diff landing on the home copy (probed runs only)."""
         ctx = self.ctx
-        ctx.verify.record(
+        ctx.probe.record(
             ctx.sim.now,
             EV_DIFF_APPLY,
             (

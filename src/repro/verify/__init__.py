@@ -3,9 +3,11 @@
 The protocol engines in :mod:`repro.protocol` are the *system under test*;
 this package is the referee.  When a run is started with
 ``ClusterConfig(verify=True)`` (or ``repro run --verify``) the protocols
-emit a passive event stream into a :class:`~repro.verify.events.VerifyLog`,
+record a passive event stream into the run's
+:class:`~repro.verify.events.Probe` (the one log profiling reads too),
 and after the simulation finishes
-:func:`~repro.verify.oracle.check_log` replays the stream against a simple,
+:func:`~repro.verify.oracle.check_log` replays its protocol events
+(:data:`~repro.verify.events.ORACLE_KINDS`) against a simple,
 obviously-correct memory model — shadow vector clocks and per-page writer
 histories kept in plain Python lists, deliberately sharing *no* code with
 the protocol's own :mod:`~repro.protocol.timestamps` machinery so a bug
@@ -21,15 +23,13 @@ See ``docs/verification.md`` for the happens-before model and the full
 list of invariants.
 """
 
-from repro.verify.events import VerifyLog
-
-__all__ = ["VerifyLog", "check_log"]
+__all__ = ["check_log"]
 
 
 def check_log(records, **kwargs):
     """Replay ``records`` through :func:`repro.verify.oracle.check_log`.
 
-    Every protocol module imports :mod:`repro.verify.events`, and with it
+    Every instrumented module imports :mod:`repro.verify.events`, and with it
     this package, so the oracle is imported here, by the first run that
     checks a log, not by every process that simulates.  ``run_simulation``
     calls the oracle through this name, which the benchmark's per-layer

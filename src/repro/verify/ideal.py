@@ -10,8 +10,8 @@ workload trace with no simulation at all, and therefore an independent
 third opinion against both protocol engines:
 
     ideal_interval_sets(trace)
-        == interval_sets_from_log(hlrc verify log)
-        == interval_sets_from_log(aurc verify log)
+        == interval_sets_from_log(hlrc probe records)
+        == interval_sets_from_log(aurc probe records)
 
 Interval numbers also pin the *final contents* of every page: the last
 write each processor contributed is its highest-numbered interval

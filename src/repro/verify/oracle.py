@@ -1,9 +1,10 @@
 """Happens-before reference checker for the LRC protocol event stream.
 
-:func:`check_log` replays a :class:`~repro.verify.events.VerifyLog` against
-an independent model of home-based lazy release consistency.  The model is
-deliberately primitive — shadow clocks are plain ``list[int]``, write
-notices are plain lists of page tuples — and shares no code with
+:func:`check_log` replays the protocol events of a run's
+:class:`~repro.verify.events.Probe` against an independent model of
+home-based lazy release consistency.  The model is deliberately
+primitive — shadow clocks are plain ``list[int]``, write notices are
+plain lists of page tuples — and shares no code with
 :mod:`repro.protocol.timestamps`, so a bug in the protocol's vector-clock
 or interval-log machinery corrupts the *subject*, never the *referee*.
 

@@ -175,6 +175,22 @@ def test_interrupt_drains_only_the_running_points(fresh, monkeypatch):
     assert len(list(runcache.disk_cache().entries())) <= 2
 
 
+def test_pooled_misses_get_the_parents_key(fresh, monkeypatch):
+    """A pooled miss is handed the content key the parent computed, as
+    a serial one is, so no worker encodes and hashes its config again."""
+    compute = executor._compute_point
+    grid = _grid()[:4]
+    expected = {Point(*p): runcache.content_key(*p) for p in grid}
+
+    def keyed(point, key=None):
+        assert key is not None and key == expected[point], point
+        return compute(point, key)
+
+    # pool workers fork from this process, so they inherit the patch
+    monkeypatch.setattr(executor, "_compute_point", keyed)
+    assert _canon(run_points(grid, jobs=2)) == _canon(run_points(grid, jobs=1))
+
+
 def test_crashed_worker_fails_points_instead_of_aborting(fresh, monkeypatch):
     """A worker that dies outright breaks the pool; the points it takes
     down fail, and the grid ends in a GridExecutionError, never a bare

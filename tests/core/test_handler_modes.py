@@ -18,8 +18,7 @@ import json
 import pytest
 
 from repro.apps import get_app
-from repro.core import ClusterConfig, run_simulation
-from repro.core.stats import MetricsRegistry
+from repro.core import ClusterConfig, Probe, run_simulation
 
 BASE = ClusterConfig()
 
@@ -74,7 +73,7 @@ PINS = {
 
 
 def _digest(result, with_metrics: bool) -> str:
-    # the benchmark's point digest, plus the metrics registry when on
+    # the benchmark's point digest, plus the profile fields when probed
     payload = {
         "total_cycles": result.total_cycles,
         "counters": dataclasses.asdict(result.counters),
@@ -96,9 +95,7 @@ def test_handler_mode_pinned(name):
     app_name, config, events, interrupts, digest = PINS[name]
     metered = name == "metrics"
     app = get_app(app_name, page_size=config.comm.page_size, scale=0.1, seed=config.seed)
-    result = run_simulation(
-        app, config, metrics=MetricsRegistry() if metered else None
-    )
+    result = run_simulation(app, config, probe=Probe() if metered else None)
     assert result.meta["sim_events"] == events
     assert result.meta["interrupts"] == interrupts
     assert _digest(result, metered) == digest

@@ -1,11 +1,13 @@
 """End-to-end observability: profiled runs, invariants, export, caching."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.apps import get_app
-from repro.core import ClusterConfig, MetricsRegistry, run_simulation
+from repro.arch.params import CommParams
+from repro.core import ClusterConfig, Probe, run_simulation
 from repro.core import runcache
 from repro.core.metrics import TIME_CATEGORIES
 from repro.core.reporting import run_record, write_csv, write_jsonl
@@ -19,9 +21,7 @@ def profiled():
     """One small profiled fft run shared by the invariant tests."""
     cfg = ClusterConfig()
     trace = get_app("fft", page_size=cfg.comm.page_size, scale=SCALE, seed=cfg.seed)
-    registry = MetricsRegistry()
-    result = run_simulation(trace, cfg, metrics=registry)
-    return result
+    return run_simulation(trace, cfg, probe=Probe())
 
 
 @pytest.fixture
@@ -44,6 +44,39 @@ def test_metrics_do_not_perturb_results(profiled):
     assert plain.total_cycles == profiled.total_cycles
     assert plain.time_breakdown() == profiled.time_breakdown()
     assert plain.counters == profiled.counters
+
+
+#: sha256 of the JSON of (metrics_counters, metrics_cycles, queue_stats,
+#: phase_marks, hotspots()), key order included, recorded from the metrics
+#: registry the probe replaced; the reduction must reproduce it exactly
+PINNED_PROFILES = {
+    "fft-hlrc-ppn4": "d37655d71b738aebd6d19f4d8b192014bcaa2ed33f0abc042e2a6ad7766e6006",
+    "radix-aurc-tree-drop": "c7cf4649aceaf65931e8a56d95246d608ce850b93e3dd55077ff295151996fe2",
+}
+
+
+@pytest.mark.parametrize(
+    "label,app_name,cfg",
+    [
+        (
+            "fft-hlrc-ppn4",
+            "fft",
+            ClusterConfig(protocol="hlrc", comm=CommParams(procs_per_node=4)),
+        ),
+        (
+            "radix-aurc-tree-drop",
+            "radix",
+            ClusterConfig(protocol="aurc", collective="tree").with_faults(drop_prob=0.02),
+        ),
+    ],
+)
+def test_profile_fields_are_pinned(label, app_name, cfg):
+    trace = get_app(app_name, page_size=cfg.comm.page_size, scale=SCALE, seed=cfg.seed)
+    r = run_simulation(trace, cfg, probe=Probe())
+    blob = json.dumps(
+        [r.metrics_counters, r.metrics_cycles, r.queue_stats, r.phase_marks, r.hotspots()]
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_PROFILES[label]
 
 
 # --------------------------------------------------------------------- #
@@ -118,6 +151,20 @@ def test_unprofiled_run_has_no_phases():
     assert result.phase_marks == []
     assert result.phase_breakdown() == []
     assert result.metrics_counters == {}
+
+
+def test_verified_run_has_no_profile_fields():
+    """Only a caller's probe fills the profile fields: the probe a
+    verified run makes for the oracle leaves them (and so the run's cache
+    record) as they are on a plain run."""
+    cfg = ClusterConfig(verify=True)
+    trace = get_app("fft", page_size=cfg.comm.page_size, scale=SCALE, seed=cfg.seed)
+    result = run_simulation(trace, cfg)
+    assert result.meta["verify.events"] > 0
+    assert result.phase_marks == []
+    assert result.metrics_counters == {}
+    assert result.metrics_cycles == {}
+    assert result.queue_stats == {}
 
 
 # --------------------------------------------------------------------- #

@@ -14,9 +14,10 @@ from repro.arch import ArchParams, CommParams
 from repro.core import ClusterConfig
 from repro.core.cluster import Cluster
 from repro.core.run import _harvest_resource_busy, _worker
-from repro.core.stats import MetricsRegistry
+from repro.core.stats import reduce_profile
 from repro.net.message import Message, MessageKind
 from repro.sim import Simulator
+from repro.verify.events import Probe
 
 from tests.net.conftest import make_cluster
 
@@ -117,23 +118,33 @@ def test_zero_byte_message_skips_both_io_buses():
 
 
 def test_metrics_on_reserves_exactly_as_metrics_off():
+    """A probed NI reserves as an unprobed one, and its one record per
+    message reduces to the counters and backlog samples the per-resource
+    calls record stage by stage."""
     arch, comm = ArchParams(), CommParams(ni_occupancy=150)
-    plain, metered = _twins(arch, comm, _backlogged)
-    registry = MetricsRegistry()
-    for node in metered.nodes:
-        node.membus.metrics = node.iobus.metrics = node.nic.metrics = registry
-    for cluster in (plain, metered):
-        for size in (0, 64, 4096):
+    plain, probed = _twins(arch, comm, _backlogged)
+    manual, _ = _twins(arch, comm, _backlogged)
+    ni_probe, stage_probe = Probe(), Probe()
+    probed.nodes[0].nic.probe = ni_probe
+    for node in manual.nodes:
+        node.membus.probe = node.iobus.probe = stage_probe
+    for size in (0, 64, 4096):
+        for cluster in (plain, probed):
             cluster.nodes[0].nic._tx_reserve(
                 Message(src_node=0, dst_node=1, kind=MessageKind.DATA, size_bytes=size)
             )
-    assert _queues(metered) == _queues(plain)
-    assert registry.counters["membus0.ni_out.transfers"] == 3
-    assert registry.counters["iobus1.dma_bytes"] == 64 + 4096 + 3 * arch.packet_header_bytes
+        _by_hand(manual, size, arch, comm)
+    assert _queues(probed) == _queues(plain)
+    profile = reduce_profile(ni_probe.records)
+    assert profile == reduce_profile(stage_probe.records)
+    counters, _, queue_stats, _ = profile
+    assert counters["membus0.ni_out.transfers"] == 3
+    assert counters["iobus1.dma_bytes"] == 64 + 4096 + 3 * arch.packet_header_bytes
+    assert queue_stats["iobus1.backlog"]["max"] > 0
 
 
-def _simulate(config, app, metrics):
-    cluster = Cluster(config, metrics=metrics)
+def _simulate(config, app, probe):
+    cluster = Cluster(config, probe=probe)
     for proc_id, events in enumerate(app.events):
         cluster.sim.spawn(_worker(cluster, cluster.procs[proc_id], events))
     cluster.sim.run()
@@ -144,8 +155,8 @@ def test_metrics_on_run_matches_metrics_off_run():
     config = ClusterConfig(protocol="aurc").with_comm(ni_occupancy=300)
     app = get_app("fft", page_size=config.comm.page_size, scale=0.1, seed=config.seed)
     plain = _simulate(config, app, None)
-    metered = _simulate(config, app, MetricsRegistry())
-    assert metered.metrics is not None and metered.metrics.counters
+    metered = _simulate(config, app, Probe())
+    assert metered.probe is not None and metered.probe.records
     assert _harvest_resource_busy(metered) == _harvest_resource_busy(plain)
     assert [c.finish_time for c in metered.procs] == [c.finish_time for c in plain.procs]
     for a, b in zip(metered.nodes, plain.nodes):

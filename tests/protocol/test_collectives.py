@@ -32,10 +32,9 @@ from hypothesis import strategies as st
 
 from repro.arch.params import CommParams
 from repro.core import ClusterConfig
-from repro.core.stats import MetricsRegistry
 from repro.net.faults import FaultParams
 from repro.protocol.collectives import COLLECTIVES
-from repro.verify.events import EV_BARRIER_ARRIVE, EV_BARRIER_RELEASE
+from repro.verify.events import EV_BARRIER_ARRIVE, EV_BARRIER_RELEASE, Probe
 from repro.verify.ideal import ideal_interval_sets, interval_sets_from_log
 from tests.verify.workloads import (
     PATTERNS,
@@ -209,10 +208,7 @@ def test_dissemination_phase_attribution():
     from repro.core import run_simulation
 
     trace = PATTERNS["producer_consumer"](2, 2, 16, 500, n_procs=4)
-    metrics = MetricsRegistry()
-    result = run_simulation(
-        trace, _config(4, 1, "dissemination"), metrics=metrics
-    )
+    result = run_simulation(trace, _config(4, 1, "dissemination"), probe=Probe())
     n_episodes = 4  # producer_consumer: two barriers per round, 2 rounds
     barrier_marks = [
         label for _, label, _ in result.phase_marks if label.startswith("barrier.")

@@ -77,7 +77,7 @@ def test_violation_dir_env_disables_dumping(monkeypatch, tmp_path):
     (result, vlog), trace = _broken_run(monkeypatch)
     assert result.violations
     assert (
-        dump_violation_artifact(trace, base_config("hlrc"), result.violations, vlog)
+        dump_violation_artifact(trace, base_config("hlrc"), result.violations, vlog.records)
         is None
     )
 

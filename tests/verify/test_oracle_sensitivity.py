@@ -77,7 +77,7 @@ def test_double_applied_diff_is_flagged(monkeypatch, tmp_path):
     orig = HLRCProtocol._h_diff_apply
 
     def apply_twice(self, cpu, msg):
-        if self.ctx.verify is not None:
+        if self.ctx.probe is not None:
             self._emit_diff_apply(cpu, msg)  # the double application
         yield from orig(self, cpu, msg)
 

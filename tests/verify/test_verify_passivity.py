@@ -5,7 +5,7 @@ simulated time, breakdowns and protocol counters to an unverified run
 import pytest
 
 from repro.apps import get_app
-from repro.core import ClusterConfig, run_simulation
+from repro.core import ClusterConfig, Probe, run_simulation
 from tests.verify.workloads import base_config, lock_mix, migratory
 
 SCALE = 0.05
@@ -20,6 +20,17 @@ def _assert_identical(plain, checked):
     assert checked.resource_busy == plain.resource_busy
 
 
+#: the oracle's event count per verified run, recorded when the oracle
+#: had a log of its own: a probe that also carries profile events must
+#: hand the oracle exactly these
+VERIFY_EVENTS = {
+    ("fft", "hlrc"): 1152,
+    ("fft", "aurc"): 1152,
+    ("radix", "hlrc"): 2256,
+    ("radix", "aurc"): 1872,
+}
+
+
 @pytest.mark.parametrize(
     "app_name,protocol",
     [("fft", "hlrc"), ("fft", "aurc"), ("radix", "hlrc"), ("radix", "aurc")],
@@ -29,10 +40,16 @@ def test_verify_does_not_perturb_real_apps(app_name, protocol):
     trace = get_app(app_name, page_size=cfg.comm.page_size, scale=SCALE, seed=cfg.seed)
     plain = run_simulation(trace, cfg)
     checked = run_simulation(trace, cfg.replace(verify=True))
+    # verified and profiled at once: one probe feeds both readers
+    probed = run_simulation(trace, cfg.replace(verify=True), probe=Probe())
     _assert_identical(plain, checked)
+    _assert_identical(plain, probed)
     assert "verify.events" not in plain.meta
-    assert checked.meta["verify.events"] > 0
+    assert checked.meta["verify.events"] == VERIFY_EVENTS[(app_name, protocol)]
     assert checked.meta["verify.violations"] == 0
+    assert probed.meta == checked.meta
+    assert probed.violations == []
+    assert probed.metrics_counters and not checked.metrics_counters
 
 
 @pytest.mark.parametrize("protocol", ["hlrc", "aurc"])

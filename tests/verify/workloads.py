@@ -22,7 +22,7 @@ from repro.apps.base import AppTrace
 from repro.arch.params import CommParams
 from repro.core import ClusterConfig, run_simulation
 from repro.net.faults import FaultParams
-from repro.verify import VerifyLog
+from repro.verify.events import Probe
 
 N_PROCS = 4
 
@@ -202,10 +202,10 @@ def base_config(
 
 
 def run_verified(trace: AppTrace, config: ClusterConfig):
-    """Run with an explicit VerifyLog; returns (result, log)."""
-    vlog = VerifyLog()
-    result = run_simulation(trace, config, verify_log=vlog)
-    return result, vlog
+    """Run under the oracle with a caller's probe; returns (result, probe)."""
+    probe = Probe()
+    result = run_simulation(trace, config.replace(verify=True), probe=probe)
+    return result, probe
 
 
 def assert_oracle_clean(result, context: str = "") -> None:
